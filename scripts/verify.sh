@@ -81,7 +81,21 @@ ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$(nproc)"
 # handshake completing while level-2 shedding is engaged, and every connect
 # under certain install-refusal served degraded then re-synthesized. It arms
 # its own default fault spec when SYNTHESIS_FAULTS is unset.
-(cd "$BUILD_DIR" && ./bench/table12_c10k > /dev/null)
+# Its host CPU time (user + sys) is printed and held under a loose ceiling:
+# connection churn must not go back to re-synthesizing per-flow code on every
+# bind, which made this bench O(N^2) in flows (~30 CPU s before the demux
+# head). The ASan tree runs several times slower, so the ceiling applies to
+# the plain and UBSan builds (~3 s and ~5 s on a 4-vCPU x86-64 VM).
+exec 3>&2
+t12=$( { TIMEFORMAT='%U %S'; time (cd "$BUILD_DIR" && ./bench/table12_c10k > /dev/null 2>&3); } 2>&1 )
+exec 3>&-
+t12=$(awk -v t="$t12" 'BEGIN { split(t, a, " "); printf "%.2f", a[1] + a[2] }')
+echo "verify: table12_c10k host CPU ${t12} s"
+if [[ "$BUILD_DIR" != build-asan ]] &&
+   awk -v t="$t12" 'BEGIN { exit !(t > 15) }'; then
+  echo "verify: table12_c10k took ${t12} CPU s (ceiling 15 s)" >&2
+  exit 1
+fi
 
 # table13 asserts the batched-TX numbers (synthesized coalesced transmit path
 # <= 0.6x the generic per-frame baseline; coalescing >= 1.3x aggregate

@@ -4,7 +4,6 @@
 #include <string>
 
 #include "src/io/channel.h"
-#include "src/io/switchboard.h"
 #include "src/machine/assembler.h"
 
 namespace synthesis {
@@ -207,10 +206,51 @@ CodeTemplate GenericDemuxTemplate() {
   return a.Build();
 }
 
+// The synthesized dispatch head: hash the destination port to its home cell,
+// probe linearly to the port's cell or the first empty one, and tail-jump
+// through the cell's deliver word. Empty cells point at the miss routine, so
+// a hit and a miss leave through the same jump. d2 = destination port
+// throughout (the delivers and the NIC wake path read it). The cell table's
+// base and mask are holes, bound once at synthesis.
+CodeTemplate HeadTemplate() {
+  Asm a("net_demux_head");
+  a.Load32(kD2, kA1, FrameLayout::kDstPort);
+  // d0 = HomeCell(port) * kCellBytes: the byte offset of the home cell.
+  a.Move(kD0, kD2);
+  a.LsrI(kD0, static_cast<int32_t>(DemuxSynthesizer::kHashShift));
+  a.Xor(kD0, kD2);
+  a.LslI(kD0, 3);
+  a.AndI(kD0, Asm::Sym("mask"));
+  a.Label("probe");
+  a.Load32(kD1, kD0, Asm::Sym("tab"));
+  a.Cmp(kD1, kD2);
+  a.Bne("other");  // a hit falls through: the cheaper untaken branch
+  a.Label("take");
+  a.Load32(kD7, kD0, Asm::Sym("tab_deliver"));
+  a.JmpInd(kD7);
+  a.Label("other");
+  a.CmpI(kD1, static_cast<int32_t>(DemuxSynthesizer::kEmptyPort));
+  a.Beq("take");
+  a.AddI(kD0, static_cast<int32_t>(DemuxSynthesizer::kCellBytes));
+  a.AndI(kD0, Asm::Sym("mask"));
+  a.Bra("probe");
+  return a.Build();
+}
+
+// Bind-time table maintenance is charged per word written, like a ready-queue
+// link patch.
+constexpr uint32_t kPatchCycles = 10;
+
+static_assert(DemuxSynthesizer::kCellBytes == 8,
+              "the head scales the home cell by a 3-bit shift");
+static_assert((DemuxSynthesizer::kHeadCells & (DemuxSynthesizer::kHeadCells - 1)) == 0,
+              "the head masks its probe index");
+
 }  // namespace
 
 DemuxSynthesizer::DemuxSynthesizer(Kernel& kernel) : kernel_(kernel) {
   ftab_ = kernel_.allocator().Allocate(4 + kMaxFlows * kEntBytes);
+  htab_ = kernel_.allocator().Allocate(kHeadCells * kCellBytes);
   ctrs_ = kernel_.allocator().Allocate(kCtrBytes);
   Memory& mem = kernel_.machine().memory();
   mem.Write32(ftab_, 0);
@@ -238,35 +278,110 @@ DemuxSynthesizer::DemuxSynthesizer(Kernel& kernel) : kernel_(kernel) {
   gd.Set("ctr_csum", static_cast<int32_t>(ctrs_ + kCtrCsum));
   generic_ = kernel_.SynthesizeInstall(GenericDemuxTemplate(), gd, nullptr,
                                        "net_demux_gen", nullptr, &verbatim);
+  Asm miss("net_demux_miss");
+  miss.MoveI(kD0, -2);
+  miss.Rts();
+  miss_ = kernel_.SynthesizeInstall(miss.Build(), Bindings(), nullptr,
+                                    "net_demux_miss", nullptr, &verbatim);
+  for (uint32_t c = 0; c < kHeadCells; c++) {
+    WriteCell(c, kEmptyPort, miss_);
+  }
 
-  // The compare chain lives behind a Specializer handle: flow changes re-fold
-  // it (Reemit), a refused install falls back to the generic walk, and the
-  // byte-cap sweep may demote it — the generic interprets the flow table, so
-  // it is always current.
+  // The head lives behind a Specializer handle: a refused install falls back
+  // to the generic walk, and the sweep retries it once the store has room.
+  // Flow changes never re-emit it — both routines read the flows from
+  // memory, so either is always current.
   SpecDesc sd;
   sd.name = "net_demux@" + std::to_string(ftab_);
   sd.generic = generic_;
-  sd.adaptive = false;  // rebuilt on flow churn, not on heat
-  sd.emit = [this](SpecTier) { return BuildChain(); };
-  sd.install = [this](BlockId blk, SpecTier tier, bool refused) {
-    InstallChain(blk, tier, refused);
+  sd.adaptive = false;   // one per NIC, not heat-driven
+  sd.evictable = false;  // infrastructure: every flow on the NIC runs through it
+  sd.emit = [this](SpecTier) { return BuildHead(); };
+  sd.install = [this](BlockId blk, SpecTier, bool) {
+    // Displaced blocks retire deferred, after the hook has repointed every
+    // demux cell.
+    synthesized_ = blk;
+    if (swap_hook_) {
+      swap_hook_();
+    }
   };
-  chain_spec_ = kernel_.spec().Register(std::move(sd));
-  synthesized_ = kernel_.spec().ActiveOf(chain_spec_);
+  head_spec_ = kernel_.spec().Register(std::move(sd));
+  synthesized_ = kernel_.spec().ActiveOf(head_spec_);
 }
 
-DemuxSynthesizer::~DemuxSynthesizer() { kernel_.spec().Retire(chain_spec_); }
+DemuxSynthesizer::~DemuxSynthesizer() { kernel_.spec().Retire(head_spec_); }
+
+BlockId DemuxSynthesizer::BuildHead() {
+  Bindings b;
+  b.Set("tab", static_cast<int32_t>(htab_));
+  b.Set("tab_deliver", static_cast<int32_t>(htab_ + 4));
+  b.Set("mask", static_cast<int32_t>((kHeadCells - 1) * kCellBytes));
+  SynthesisOptions opts = kernel_.config().synthesis;
+  opts.live_out |= (1u << kD0) | (1u << kD1) | (1u << kD2);
+  return kernel_.SynthesizeInstall(HeadTemplate(), b, nullptr,
+                                   "net_demux_head@" + std::to_string(htab_),
+                                   &head_stats_, &opts);
+}
 
 const DemuxSynthesizer::Flow* DemuxSynthesizer::Find(uint16_t port) const {
-  for (const Flow& f : flows_) {
-    if (f.port == port) {
-      return &f;
-    }
-  }
-  return nullptr;
+  auto it = index_.find(port);
+  return it == index_.end() ? nullptr : &flows_[it->second];
 }
 
 bool DemuxSynthesizer::HasFlow(uint16_t port) const { return Find(port) != nullptr; }
+
+uint32_t DemuxSynthesizer::CellOf(uint16_t port) const {
+  const Memory& mem = kernel_.machine().memory();
+  for (uint32_t c = HomeCell(port);; c = (c + 1) & (kHeadCells - 1)) {
+    const uint32_t p = mem.Read32(CellAddr(c));
+    if (p == port) {
+      return c;
+    }
+    if (p == kEmptyPort) {
+      return kHeadCells;
+    }
+  }
+}
+
+uint32_t DemuxSynthesizer::ProbeLength(uint16_t port) const {
+  const uint32_t c = CellOf(port);
+  return c == kHeadCells ? 0 : ((c - HomeCell(port)) & (kHeadCells - 1)) + 1;
+}
+
+void DemuxSynthesizer::WriteCell(uint32_t cell, uint32_t port, BlockId deliver) {
+  // Deliver first, port last: a frame probing meanwhile sees either the old
+  // cell or the whole new one.
+  Memory& mem = kernel_.machine().memory();
+  mem.Write32(CellAddr(cell) + 4, static_cast<uint32_t>(deliver));
+  mem.Write32(CellAddr(cell), port);
+}
+
+void DemuxSynthesizer::WriteEntry(size_t i) {
+  Memory& mem = kernel_.machine().memory();
+  const Flow& f = flows_[i];
+  Addr e = ftab_ + 4 + static_cast<uint32_t>(i) * kEntBytes;
+  mem.Write32(e + kEntPort, f.port);
+  mem.Write32(e + kEntRing, f.ring);
+  mem.Write32(e + kEntCtr, f.ctr);
+  mem.Write32(e + kEntFixed, f.fixed_len);
+  mem.Write32(e + kEntHandler, f.handler);
+  mem.Write32(e + FlowEntryLayout::kCtx, f.ctx);
+}
+
+void DemuxSynthesizer::Insert(Flow f) {
+  // The load factor stays at or under one half, so an empty cell exists.
+  uint32_t c = HomeCell(f.port);
+  while (kernel_.machine().memory().Read32(CellAddr(c)) != kEmptyPort) {
+    c = (c + 1) & (kHeadCells - 1);
+  }
+  WriteCell(c, f.port, f.deliver);
+  index_[f.port] = flows_.size();
+  flows_.push_back(f);
+  WriteEntry(flows_.size() - 1);
+  kernel_.machine().memory().Write32(ftab_, static_cast<uint32_t>(flows_.size()));
+  // One cell (2 words), one table entry (6 words), the count word.
+  kernel_.machine().Charge(9 * kPatchCycles, 0, 9);
+}
 
 bool DemuxSynthesizer::AddFlow(uint16_t port, Addr ring_base, uint32_t fixed_len) {
   if (flows_.size() >= kMaxFlows || Find(port) != nullptr ||
@@ -289,9 +404,7 @@ bool DemuxSynthesizer::AddFlow(uint16_t port, Addr ring_base, uint32_t fixed_len
     return false;
   }
   f.owns_deliver = true;
-  flows_.push_back(f);
-  RebuildGenericTable();
-  RebuildSynthesized();
+  Insert(f);
   return true;
 }
 
@@ -312,61 +425,75 @@ bool DemuxSynthesizer::AddFlowCustom(uint16_t port, Addr ring_base, Addr ctx,
   kernel_.machine().memory().Write32(f.ctr, 0);
   f.handler = generic_deliver;
   f.deliver = synth_deliver;
-  flows_.push_back(f);
-  RebuildGenericTable();
-  RebuildSynthesized();
+  Insert(f);
   return true;
 }
 
 bool DemuxSynthesizer::SetFlowDeliver(uint16_t port, BlockId synth_deliver) {
-  for (Flow& f : flows_) {
-    if (f.port == port) {
-      f.deliver = synth_deliver;
-      RebuildSynthesized();
-      return true;
-    }
+  auto it = index_.find(port);
+  if (it == index_.end() || flows_[it->second].owns_deliver) {
+    return false;
   }
-  return false;
+  flows_[it->second].deliver = synth_deliver;
+  kernel_.machine().memory().Write32(CellAddr(CellOf(port)) + 4,
+                                     static_cast<uint32_t>(synth_deliver));
+  kernel_.machine().Charge(kPatchCycles, 0, 1);
+  return true;
 }
 
 bool DemuxSynthesizer::RemoveFlow(uint16_t port) {
-  for (size_t i = 0; i < flows_.size(); i++) {
-    if (flows_[i].port == port) {
-      kernel_.allocator().Free(flows_[i].ctr);
-      if (flows_[i].owns_deliver) {
-        kernel_.RetireBlock(flows_[i].deliver);
-      }
-      flows_.erase(flows_.begin() + static_cast<long>(i));
-      RebuildGenericTable();
-      RebuildSynthesized();
-      return true;
-    }
+  auto it = index_.find(port);
+  if (it == index_.end()) {
+    return false;
   }
-  return false;
-}
+  const size_t i = it->second;
+  kernel_.allocator().Free(flows_[i].ctr);
+  if (flows_[i].owns_deliver) {
+    kernel_.RetireBlock(flows_[i].deliver);
+  }
 
-void DemuxSynthesizer::RebuildGenericTable() {
+  // Head: backward-shift deletion. Every later member of the probe cluster
+  // whose home cell does not lie cyclically in (hole, its cell] moves back
+  // into the hole, so lookups never need tombstones.
   Memory& mem = kernel_.machine().memory();
-  mem.Write32(ftab_, static_cast<uint32_t>(flows_.size()));
-  for (size_t i = 0; i < flows_.size(); i++) {
-    Addr e = ftab_ + 4 + static_cast<uint32_t>(i) * kEntBytes;
-    mem.Write32(e + kEntPort, flows_[i].port);
-    mem.Write32(e + kEntRing, flows_[i].ring);
-    mem.Write32(e + kEntCtr, flows_[i].ctr);
-    mem.Write32(e + kEntFixed, flows_[i].fixed_len);
-    mem.Write32(e + kEntHandler, flows_[i].handler);
-    mem.Write32(e + FlowEntryLayout::kCtx, flows_[i].ctx);
+  uint32_t hole = CellOf(port);
+  uint32_t words = 2;
+  for (uint32_t c = (hole + 1) & (kHeadCells - 1);; c = (c + 1) & (kHeadCells - 1)) {
+    const uint32_t p = mem.Read32(CellAddr(c));
+    if (p == kEmptyPort) {
+      break;
+    }
+    const uint32_t home = HomeCell(p);
+    const bool stays = hole <= c ? (hole < home && home <= c)
+                                 : (hole < home || home <= c);
+    if (stays) {
+      continue;
+    }
+    WriteCell(hole, p, mem.Read32(CellAddr(c) + 4));
+    words += 2;
+    hole = c;
   }
-  // Table maintenance: a handful of stores per flow.
-  kernel_.machine().Charge(20 + 16 * static_cast<uint32_t>(flows_.size()), 4,
-                           4 * static_cast<uint32_t>(flows_.size()));
+  WriteCell(hole, kEmptyPort, miss_);
+
+  // Generic table: the last entry fills the gap.
+  const size_t last = flows_.size() - 1;
+  index_.erase(it);
+  if (i != last) {
+    flows_[i] = flows_[last];
+    index_[flows_[i].port] = i;
+    WriteEntry(i);
+  }
+  flows_.pop_back();
+  mem.Write32(ftab_, static_cast<uint32_t>(flows_.size()));
+  // The cells written, one table entry (6 words), the count word.
+  kernel_.machine().Charge((words + 7) * kPatchCycles, 0, words + 7);
+  return true;
 }
 
 BlockId DemuxSynthesizer::SynthesizeDeliver(const Flow& f) const {
   Memory& mem = kernel_.machine().memory();
   uint32_t mask = mem.Read32(f.ring + RingLayout::kMask);
-  const std::string name =
-      "net_deliver$" + std::to_string(f.port) + "#" + std::to_string(rebuilds_);
+  const std::string name = "net_deliver$" + std::to_string(f.port);
   const bool unrolled = f.fixed_len > 0 && f.fixed_len <= kUnrollLimit;
 
   Asm a(name);
@@ -532,54 +659,6 @@ BlockId DemuxSynthesizer::SynthesizeDeliver(const Flow& f) const {
   opts.live_out |= (1u << kD0) | (1u << kD1) | (1u << kD2);
   // Bindings with unbound "fixed"/"port" would abort: the template binds all.
   return kernel_.SynthesizeInstall(a.Build(), b, nullptr, name, nullptr, &opts);
-}
-
-void DemuxSynthesizer::RebuildSynthesized() {
-  // The unified re-specialization entry point: the Specializer calls
-  // BuildChain, retires the displaced block, and falls back to the generic
-  // walk when the install is refused (InstallChain mirrors the outcome). A
-  // chain the byte-cap sweep demoted stays generic — the table rebuild
-  // already covered the flow change.
-  kernel_.spec().Reemit(chain_spec_);
-}
-
-BlockId DemuxSynthesizer::BuildChain() {
-  rebuilds_++;
-  const std::string name = "net_demux_syn#" + std::to_string(rebuilds_);
-  Switchboard sb;
-  for (const Flow& f : flows_) {
-    sb.AddCase(f.port, f.deliver);
-  }
-  CodeTemplate chain = sb.BuildTemplate(name);
-  // Prepend the selector load (the destination port) and retarget the chain's
-  // absolute branch indices, as Switchboard::Synthesize does.
-  Asm pre(name);
-  pre.Load32(kD0, kA1, FrameLayout::kDstPort);
-  CodeTemplate t = pre.Build();
-  t.block.code.insert(t.block.code.end(), chain.block.code.begin(),
-                      chain.block.code.end());
-  for (Instr& in : t.block.code) {
-    if (IsBranch(in.op)) {
-      in.imm += 1;
-    }
-  }
-  SynthesisOptions opts = kernel_.config().synthesis;
-  opts.live_out |= (1u << kD0) | (1u << kD1) | (1u << kD2);
-  return kernel_.SynthesizeInstall(t, Bindings(), nullptr, name, &last_stats_,
-                                   &opts);
-}
-
-void DemuxSynthesizer::InstallChain(BlockId blk, SpecTier tier, bool refused) {
-  (void)tier;
-  (void)refused;
-  // On refusal the Specializer already fell back to the generic routine: it
-  // interprets the flow table from memory, so it is always current — slower,
-  // never wrong. Displaced blocks retire deferred, after the hook below has
-  // repointed every demux cell.
-  synthesized_ = blk;
-  if (swap_hook_) {
-    swap_hook_();
-  }
 }
 
 uint64_t DemuxSynthesizer::csum_rejects() const {

@@ -129,8 +129,9 @@ class NicDevice {
   // synthesizer folds (and enforces). A spec must carry both deliver blocks
   // or neither.
   bool BindFlow(const FlowSpec& spec);
-  // Re-synthesizes a custom flow's specialized deliver (e.g. a connection
-  // left LISTEN and the peer is now a foldable invariant).
+  // Points a custom flow at a new specialized deliver (e.g. a connection
+  // left LISTEN and re-synthesized its processor with the peer folded): one
+  // cell write in the demux head's table.
   bool RebindFlow(uint16_t port, BlockId synth_deliver);
   bool UnbindFlow(uint16_t port);
 
@@ -178,7 +179,7 @@ class NicDevice {
   // Interposes `steer` between the RX entry and this device's demux: the RX
   // entry's outer cell is rewritten to `steer`, while the device's real demux
   // id keeps flowing into the *inner* cell (an executable data structure the
-  // steering block jumps through — flow re-synthesis never needs the pool).
+  // steering block jumps through — a head swap never needs the pool).
   // kInvalidBlock removes the override.
   void SetDemuxOverride(BlockId steer);
   // Address of the 4-byte word that always holds this device's current demux

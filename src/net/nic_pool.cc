@@ -738,7 +738,7 @@ bool NicPool::AddNic() {
   AppendNic();
   // Rebind flows whose hash or pin placement moved. The flow's processors
   // (the stream layer's CCB-absolute segment code) are NIC-agnostic and move
-  // by reference; only the demux chains on the affected NICs re-synthesize.
+  // by reference; the affected NICs' demux tables just move a cell each.
   for (auto& [port, b] : bindings_) {
     uint32_t owner =
         b.pinned ? PinSteerOf(port, b.spec.pin_peer) : SteerOf(port);

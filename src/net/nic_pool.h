@@ -1,7 +1,7 @@
 // A pool of NICs behind one ingress, sharded by a synthesized steering stage.
 //
 // Scaling past one interrupt path (ROADMAP: multi-NIC sharding) means N
-// devices, each with its own descriptor rings, demux chain, and interrupt
+// devices, each with its own descriptor rings, demux head, and interrupt
 // budget. The pool stitches them together with three pieces of emitted code:
 //
 //  * The STEERING block sits in each NIC's outer demux cell. It hashes the
@@ -22,10 +22,11 @@
 //    on (dst, src) immediates jumping straight through the owner's inner
 //    cell; generic form: a pin-table walk in the descriptor.
 //
-//  * Each NIC keeps its real demux id flowing into its inner cell, so flow
-//    re-synthesis (binds, unbinds, connection establishment) never re-emits
+//  * Each NIC keeps its real demux id flowing into its inner cell, so a
+//    demux swap (refusal fallback, pressure demotion) never re-emits
 //    steering: the steering stage indexes an executable data structure whose
-//    words are rewritten in place.
+//    words are rewritten in place. Binds, unbinds and connection
+//    establishment only patch cells in the demux head's own table.
 //
 //  * One DISPATCH shim per interrupt vector (installed once, so TTE vector
 //    snapshots stay valid) jumps through a dispatch cell to a re-emitted

@@ -3,7 +3,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <optional>
-#include <set>
+#include <vector>
 
 #include "src/machine/opcode.h"
 
@@ -163,6 +163,216 @@ bool IsTerminator(Opcode op) {
          op == Opcode::kJmpInd;
 }
 
+// True if control leaves the routine here: liveness after it is what its own
+// uses say, nothing flows in from a successor.
+bool EndsRoutine(Opcode op) {
+  return op == Opcode::kRts || op == Opcode::kHalt || op == Opcode::kJmpInd;
+}
+
+// A branch's target as a liveness index: anything outside the block means
+// "falls off the end", index n.
+size_t LiveTarget(const Instr& in, size_t n) {
+  return in.imm < 0 || static_cast<size_t>(in.imm) > n ? n
+                                                       : static_cast<size_t>(in.imm);
+}
+
+// Backward register liveness, solved by a worklist over basic blocks.
+// Returns live[0..n]: live[i] is the set live before instruction i, and
+// live[n] = live_out (falling off the end returns to the caller). The result
+// is the least fixpoint of live[i] = use[i] | (out[i] & ~def[i]).
+std::vector<uint32_t> SolveLiveness(const std::vector<Instr>& code,
+                                    const std::vector<DefUse>& dus,
+                                    uint32_t live_out) {
+  const size_t n = code.size();
+  // Block leaders: the entry, every in-range branch target, and whatever
+  // follows a branch or a routine exit.
+  std::vector<bool> leader(n + 1, false);
+  leader[0] = true;
+  for (size_t i = 0; i < n; i++) {
+    if (IsBranch(code[i].op)) {
+      leader[LiveTarget(code[i], n)] = true;
+    }
+    if (IsBranch(code[i].op) || IsTerminator(code[i].op)) {
+      leader[i + 1] = true;
+    }
+  }
+  std::vector<size_t> begin;        // block b covers [begin[b], begin[b + 1])
+  std::vector<size_t> block_of(n + 1, 0);
+  for (size_t i = 0; i < n; i++) {
+    if (leader[i]) {
+      begin.push_back(i);
+    }
+    block_of[i] = begin.size() - 1;
+  }
+  const size_t nb = begin.size();
+  begin.push_back(n);
+  block_of[n] = nb;  // the exit pseudo-block
+
+  // Each block's transfer function in = gen | (out & ~kill), and its
+  // successors (nb = the exit, whose live-in is live_out).
+  std::vector<uint32_t> gen(nb, 0), kill(nb, 0);
+  std::vector<size_t> succ(2 * nb, nb + 1);  // nb + 1 = no successor
+  std::vector<std::vector<size_t>> preds(nb + 1);
+  for (size_t b = 0; b < nb; b++) {
+    const size_t last = begin[b + 1] - 1;
+    for (size_t i = last + 1; i-- > begin[b];) {
+      if (EndsRoutine(code[i].op)) {
+        gen[b] = dus[i].use;
+        kill[b] = ~0u;
+      } else {
+        gen[b] = dus[i].use | (gen[b] & ~dus[i].def);
+        kill[b] |= dus[i].def;
+      }
+    }
+    const Instr& in = code[last];
+    if (!EndsRoutine(in.op)) {
+      if (IsBranch(in.op)) {
+        succ[2 * b] = block_of[LiveTarget(in, n)];
+      }
+      if (in.op != Opcode::kBra) {
+        succ[2 * b + 1] = block_of[last + 1];
+      }
+    }
+    for (size_t k = 2 * b; k < 2 * b + 2; k++) {
+      if (succ[k] <= nb) {
+        preds[succ[k]].push_back(b);
+      }
+    }
+  }
+
+  std::vector<uint32_t> live_in(nb + 1, 0);
+  live_in[nb] = live_out;
+  auto out_of = [&](size_t b) {
+    uint32_t out = 0;
+    for (size_t k = 2 * b; k < 2 * b + 2; k++) {
+      if (succ[k] <= nb) {
+        out |= live_in[succ[k]];
+      }
+    }
+    return out;
+  };
+  std::vector<size_t> work;
+  std::vector<bool> queued(nb, true);
+  work.reserve(nb);
+  for (size_t b = 0; b < nb; b++) {
+    work.push_back(b);  // popped last-first: a backward problem's good order
+  }
+  while (!work.empty()) {
+    const size_t b = work.back();
+    work.pop_back();
+    queued[b] = false;
+    const uint32_t in = gen[b] | (out_of(b) & ~kill[b]);
+    if (in == live_in[b]) {
+      continue;
+    }
+    live_in[b] = in;
+    for (size_t p : preds[b]) {
+      if (!queued[p]) {
+        queued[p] = true;
+        work.push_back(p);
+      }
+    }
+  }
+
+  // One backward sweep per block turns block live-ins into per-instruction
+  // sets.
+  std::vector<uint32_t> live(n + 1, 0);
+  live[n] = live_out;
+  for (size_t b = 0; b < nb; b++) {
+    uint32_t out = out_of(b);
+    for (size_t i = begin[b + 1]; i-- > begin[b];) {
+      out = EndsRoutine(code[i].op) ? dus[i].use
+                                    : dus[i].use | (out & ~dus[i].def);
+      live[i] = out;
+    }
+  }
+  return live;
+}
+
+// Inlines one round of direct calls (kJsr to a valid block) and returns how
+// many were inlined. Calls are taken in order while the grown routine stays
+// within kMaxInlinedSize; calls inside a freshly inlined body wait for the
+// next round. The routine is rebuilt once through an index map, with branch
+// targets exactly as splicing the bodies in one at a time would leave them.
+size_t InlineRound(const CodeStore& store, std::vector<Instr>& code) {
+  const size_t n = code.size();
+  // new_index[i]: where original instruction i (or the body replacing it)
+  // starts in the output.
+  std::vector<int32_t> new_index(n + 1);
+  std::vector<size_t> sites;
+  size_t size = n;
+  int32_t growth = 0;
+  for (size_t i = 0; i < n; i++) {
+    new_index[i] = static_cast<int32_t>(i) + growth;
+    if (code[i].op != Opcode::kJsr || !store.Valid(code[i].imm)) {
+      continue;
+    }
+    const size_t len = store.Get(code[i].imm).code.size();
+    if (size + len > kMaxInlinedSize) {
+      continue;
+    }
+    size += len - 1;
+    growth += static_cast<int32_t>(len) - 1;
+    sites.push_back(i);
+  }
+  new_index[n] = static_cast<int32_t>(n) + growth;
+  if (sites.empty()) {
+    return 0;
+  }
+  // A caller branch to instruction t lands where t now starts; targets past
+  // the end move with the whole routine, targets before the start stay.
+  auto host_target = [&](int32_t t) {
+    if (t < 0) {
+      return t;
+    }
+    return static_cast<size_t>(t) <= n ? new_index[static_cast<size_t>(t)]
+                                       : t + growth;
+  };
+  // A callee branch outside [0, len] (never emitted by the assembler) gets
+  // the shifts every later splice would have applied to it.
+  auto stray_body_target = [&](int32_t v, size_t from_site) {
+    for (size_t s = from_site; s < sites.size(); s++) {
+      const int32_t at = new_index[sites[s]];
+      if (v > at) {
+        v += static_cast<int32_t>(store.Get(code[sites[s]].imm).code.size()) - 1;
+      }
+    }
+    return v;
+  };
+
+  std::vector<Instr> out;
+  out.reserve(size);
+  size_t site = 0;
+  for (size_t i = 0; i < n; i++) {
+    if (site < sites.size() && sites[site] == i) {
+      const std::vector<Instr>& body = store.Get(code[i].imm).code;
+      const int32_t start = new_index[i];
+      const int32_t len = static_cast<int32_t>(body.size());
+      site++;
+      for (Instr in : body) {
+        if (IsBranch(in.op)) {
+          in.imm = in.imm >= 0 && in.imm <= len
+                       ? start + in.imm
+                       : stray_body_target(start + in.imm, site);
+        } else if (in.op == Opcode::kRts) {
+          in.op = Opcode::kBra;
+          in.rd = in.rs = 0;
+          in.imm = start + len;
+        }
+        out.push_back(in);
+      }
+      continue;
+    }
+    Instr in = code[i];
+    if (IsBranch(in.op)) {
+      in.imm = host_target(in.imm);
+    }
+    out.push_back(in);
+  }
+  code = std::move(out);
+  return sites.size();
+}
+
 // Deletes instructions where keep[i] is false, remapping branch targets.
 // A branch to a deleted instruction is redirected to the next kept one.
 size_t DeleteInstrs(std::vector<Instr>& code, const std::vector<bool>& keep) {
@@ -273,56 +483,25 @@ CodeBlock Synthesizer::Specialize(const CodeTemplate& tmpl, const Bindings& bind
 
     // --- Collapsing Layers: inline direct calls -------------------------------
     if (options.inline_calls && inline_rounds < options.max_inline_depth) {
-      bool inlined_any = false;
-      for (size_t i = 0; i < code.size(); i++) {
-        if (code[i].op != Opcode::kJsr || !store_->Valid(code[i].imm)) {
-          continue;
-        }
-        const CodeBlock& callee = store_->Get(code[i].imm);
-        if (code.size() + callee.code.size() > kMaxInlinedSize) {
-          continue;
-        }
-        int32_t body_len = static_cast<int32_t>(callee.code.size());
-        // Remap host branch targets around the growing region.
-        for (Instr& in : code) {
-          if (IsBranch(in.op) && in.imm > static_cast<int32_t>(i)) {
-            in.imm += body_len - 1;
-          }
-        }
-        // Transform the callee body.
-        std::vector<Instr> body = callee.code;
-        for (Instr& in : body) {
-          if (IsBranch(in.op)) {
-            in.imm += static_cast<int32_t>(i);
-          } else if (in.op == Opcode::kRts) {
-            in.op = Opcode::kBra;
-            in.rd = in.rs = 0;
-            in.imm = static_cast<int32_t>(i) + body_len;
-          }
-        }
-        code.erase(code.begin() + static_cast<ptrdiff_t>(i));
-        code.insert(code.begin() + static_cast<ptrdiff_t>(i), body.begin(), body.end());
-        st.inlined_calls++;
-        inlined_any = true;
-        changed = true;
-        i += static_cast<size_t>(body_len) - 1;  // skip past the inlined body
-      }
-      if (inlined_any) {
+      if (const size_t inlined = InlineRound(*store_, code); inlined > 0) {
+        st.inlined_calls += inlined;
         inline_rounds++;
+        changed = true;
       }
     }
 
     // --- Constant propagation, invariant-load folding, branch folding ---------
     if (options.constant_fold) {
-      std::set<int32_t> targets;
+      std::vector<bool> is_target(code.size(), false);
       for (const Instr& in : code) {
-        if (IsBranch(in.op)) {
-          targets.insert(in.imm);
+        if (IsBranch(in.op) && in.imm >= 0 &&
+            static_cast<size_t>(in.imm) < code.size()) {
+          is_target[static_cast<size_t>(in.imm)] = true;
         }
       }
       AbsState s;
       for (size_t i = 0; i < code.size(); i++) {
-        if (targets.count(static_cast<int32_t>(i))) {
+        if (is_target[i]) {
           s.Reset();  // conservative merge at join points
         }
         Instr& in = code[i];
@@ -615,53 +794,21 @@ CodeBlock Synthesizer::Specialize(const CodeTemplate& tmpl, const Bindings& bind
 
     // --- Dead-code elimination ----------------------------------------------------
     if (options.dead_code_elim && !code.empty()) {
-      size_t n = code.size();
-      const uint32_t return_live = options.live_out;
-      std::vector<uint32_t> live(n + 1, 0);
-      live[n] = return_live;  // falling off the end returns to the caller
-      bool grew = true;
-      while (grew) {
-        grew = false;
-        for (size_t idx = n; idx-- > 0;) {
-          const Instr& in = code[idx];
-          DefUse du = DefUseOf(in);
-          if (in.op == Opcode::kRts || in.op == Opcode::kHalt) {
-            du.use = return_live;  // calling convention, not "everything"
-          }
-          uint32_t out_live;
-          if (in.op == Opcode::kRts || in.op == Opcode::kHalt ||
-              in.op == Opcode::kJmpInd) {
-            out_live = 0;  // uses encode what matters
-          } else if (in.op == Opcode::kBra) {
-            size_t t = in.imm < 0 || static_cast<size_t>(in.imm) > n
-                           ? n
-                           : static_cast<size_t>(in.imm);
-            out_live = live[t];
-          } else if (IsConditionalBranch(in.op)) {
-            size_t t = in.imm < 0 || static_cast<size_t>(in.imm) > n
-                           ? n
-                           : static_cast<size_t>(in.imm);
-            out_live = live[t] | live[idx + 1];
-          } else {
-            out_live = live[idx + 1];
-          }
-          uint32_t new_live = du.use | (out_live & ~du.def);
-          if (in.op == Opcode::kRts || in.op == Opcode::kHalt ||
-              in.op == Opcode::kJmpInd) {
-            new_live = du.use;
-          }
-          if (new_live != live[idx]) {
-            live[idx] = new_live;
-            grew = true;
-          }
+      const size_t n = code.size();
+      std::vector<DefUse> dus(n);
+      for (size_t idx = 0; idx < n; idx++) {
+        dus[idx] = DefUseOf(code[idx]);
+        if (code[idx].op == Opcode::kRts || code[idx].op == Opcode::kHalt) {
+          dus[idx].use = options.live_out;  // calling convention, not "everything"
         }
       }
+      const std::vector<uint32_t> live = SolveLiveness(code, dus, options.live_out);
       std::vector<bool> keep(n, true);
       bool any = false;
       for (size_t idx = 0; idx < n; idx++) {
         const Instr& in = code[idx];
-        DefUse du = DefUseOf(in);
-        uint32_t out_live = idx + 1 <= n ? live[idx + 1] : kAllRegs;
+        const DefUse& du = dus[idx];
+        uint32_t out_live = live[idx + 1];
         if (du.removable && in.op != Opcode::kNop && (du.def & out_live) == 0) {
           keep[idx] = false;
           any = true;

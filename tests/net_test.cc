@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "src/io/io_system.h"
+#include "src/machine/assembler.h"
 #include "src/kernel/kernel.h"
 #include "src/net/nic_device.h"
 #include "src/net/nic_pool.h"
@@ -213,25 +214,163 @@ TEST_F(NetTest, FullRingDropsAndCounts) {
   EXPECT_EQ(nic_.demux().ring_drops(), 2u);
 }
 
-TEST_F(NetTest, FlowSetupTeardownAndResynthesis) {
-  BlockId empty = nic_.demux().synthesized_demux();
+TEST_F(NetTest, FlowSetupTeardownPatchesTheHeadInPlace) {
+  // The dispatch head is synthesized once per NIC. Binds, rebinds and unbinds
+  // write cells in its table: the head block never changes hands, and a
+  // datagram bind installs exactly one block, the flow's own deliver.
+  const BlockId head = nic_.demux().synthesized_demux();
+  Asm stub("test_stub_deliver");
+  stub.MoveI(kD0, 1);
+  stub.Rts();
+  SynthesisOptions verbatim = SynthesisOptions::Disabled();
+  const BlockId other = k_.SynthesizeInstall(stub.Build(), Bindings(), nullptr,
+                                             "test_stub_deliver", nullptr,
+                                             &verbatim);
+  ASSERT_NE(other, kInvalidBlock);
+  const size_t blocks = k_.code().live_block_count();
   auto ring = BindRing(5);
-  BlockId with_flow = nic_.demux().synthesized_demux();
-  EXPECT_NE(empty, with_flow) << "adding a flow re-synthesizes the demux";
+  EXPECT_EQ(nic_.demux().synthesized_demux(), head) << "bind";
+  EXPECT_EQ(k_.code().live_block_count(), blocks + 1)
+      << "a datagram bind adds only the flow's deliver";
   EXPECT_TRUE(nic_.demux().HasFlow(5));
   EXPECT_FALSE(nic_.BindFlow(FlowSpec::Ring(5, ring))) << "port already bound";
+
+  // A custom flow (the stream layer's shape) brings its own deliver, so its
+  // bind adds no block at all; a rebind re-points one cell.
+  FlowSpec custom = FlowSpec::Ring(6, ring);
+  custom.synth_deliver = nic_.demux().generic_demux();
+  custom.generic_deliver = nic_.demux().deliver_generic_block();
+  ASSERT_TRUE(nic_.BindFlow(custom));
+  EXPECT_EQ(k_.code().live_block_count(), blocks + 1) << "custom bind";
+  ASSERT_TRUE(nic_.RebindFlow(6, other));
+  EXPECT_EQ(nic_.demux().synthesized_demux(), head) << "rebind";
+  EXPECT_EQ(k_.code().live_block_count(), blocks + 1) << "rebind";
+  EXPECT_FALSE(nic_.RebindFlow(5, other))
+      << "a datagram flow's deliver belongs to the demux";
+  EXPECT_TRUE(nic_.UnbindFlow(6));
+
   EXPECT_TRUE(nic_.UnbindFlow(5));
+  EXPECT_EQ(nic_.demux().synthesized_demux(), head) << "unbind";
   EXPECT_FALSE(nic_.demux().HasFlow(5));
   EXPECT_FALSE(nic_.UnbindFlow(5));
   // Frames to the removed port now fall through to no-match.
   ASSERT_TRUE(Send(5, 1, "gone"));
   k_.Run();
   EXPECT_EQ(nic_.nomatch_gauge().events(), 1u);
+  EXPECT_EQ(k_.code().live_block_count(), blocks)
+      << "the unbound flow's deliver retired";
   // Rebinding works and delivers again.
   BindRing(5);
   ASSERT_TRUE(Send(5, 2, "back"));
   k_.Run();
   EXPECT_EQ(nic_.demux().delivered(5), 1u);
+  EXPECT_EQ(nic_.demux().synthesized_demux(), head);
+}
+
+// Binding costs the same however many flows the NIC carries: the head is
+// never re-emitted, and a bind, rebind or unbind writes a fixed number of
+// words. The per-frame path is the same for the first- and the last-bound
+// port, apart from the documented kProbeInstructions per extra probe.
+TEST_F(NetTest, BindCostAndFramePathAreIndependentOfFlowCount) {
+  using Demux = DemuxSynthesizer;
+  auto ring = io_.MakeRing(1024);
+  // The measured port sits alone in the cell table: fillers have pairwise
+  // distinct home cells, none within two cells of its own, so its bind and
+  // unbind never probe or shift a neighbour at either table size.
+  const uint16_t kProbe = 40000;
+  const uint32_t probe_home = Demux::HomeCell(kProbe);
+  std::set<uint32_t> homes = {probe_home};
+  uint16_t next = 1000;
+  std::vector<uint16_t> bound;
+  auto bind_fillers = [&](size_t n) {
+    while (bound.size() < n) {
+      const uint16_t p = next++;
+      const uint32_t home = Demux::HomeCell(p);
+      const uint32_t gap = std::min((home - probe_home) & (Demux::kHeadCells - 1),
+                                    (probe_home - home) & (Demux::kHeadCells - 1));
+      if (gap <= 2 || homes.count(home) != 0) {
+        continue;
+      }
+      homes.insert(home);
+      ASSERT_TRUE(nic_.BindFlow(FlowSpec::Ring(p, ring)));
+      bound.push_back(p);
+    }
+  };
+
+  SynthesisOptions verbatim = SynthesisOptions::Disabled();
+  Asm stub("test_stub_deliver");
+  stub.MoveI(kD0, 1);
+  stub.Rts();
+  const BlockId other = k_.SynthesizeInstall(stub.Build(), Bindings(), nullptr,
+                                             "test_stub_deliver", nullptr,
+                                             &verbatim);
+  ASSERT_NE(other, kInvalidBlock);
+  FlowSpec custom = FlowSpec::Ring(kProbe, ring);
+  custom.synth_deliver = nic_.demux().generic_demux();
+  custom.generic_deliver = nic_.demux().deliver_generic_block();
+
+  struct Cost {
+    uint64_t cycles = 0;
+    uint64_t instrs = 0;
+    bool operator==(const Cost&) const = default;
+  };
+  auto measure = [&] {
+    std::vector<Cost> costs;
+    auto charge = [&](const char* what, auto&& op) {
+      Stopwatch sw(k_.machine());
+      EXPECT_TRUE(op()) << what;
+      costs.push_back({sw.cycles(), sw.instructions()});
+    };
+    charge("datagram bind", [&] { return nic_.BindFlow(FlowSpec::Ring(kProbe, ring)); });
+    charge("datagram unbind", [&] { return nic_.UnbindFlow(kProbe); });
+    charge("custom bind", [&] { return nic_.BindFlow(custom); });
+    charge("rebind", [&] { return nic_.RebindFlow(kProbe, other); });
+    charge("custom unbind", [&] { return nic_.UnbindFlow(kProbe); });
+    return costs;
+  };
+
+  bind_fillers(8);
+  const std::vector<Cost> at8 = measure();
+  bind_fillers(512);
+  const std::vector<Cost> at512 = measure();
+  ASSERT_EQ(at8.size(), at512.size());
+  const char* names[] = {"datagram bind", "datagram unbind", "custom bind",
+                         "rebind", "custom unbind"};
+  for (size_t i = 0; i < at8.size(); i++) {
+    EXPECT_EQ(at8[i].cycles, at512[i].cycles) << names[i] << " cycles";
+    EXPECT_EQ(at8[i].instrs, at512[i].instrs) << names[i] << " instructions";
+  }
+  EXPECT_LT(at8[2].cycles, 200u) << "a custom bind is a handful of word writes";
+
+  // The last-bound port collides with the first-bound one, so its probe is
+  // one cell longer; nothing else about its path differs.
+  const uint16_t first = bound.front();
+  uint16_t last = next;
+  while (Demux::HomeCell(last) != Demux::HomeCell(first)) {
+    last++;
+  }
+  ASSERT_TRUE(nic_.BindFlow(FlowSpec::Ring(last, ring)));
+  ASSERT_EQ(nic_.demux().ProbeLength(first), 1u);
+  ASSERT_EQ(nic_.demux().ProbeLength(last), 2u);
+  Addr frame = k_.allocator().Allocate(FrameLayout::kSlotBytes);
+  const std::string payload(16, 'x');
+  auto frame_instrs = [&](uint16_t port) {
+    Memory& mem = k_.machine().memory();
+    mem.Write32(ring->base + RingLayout::kHead, 0);
+    mem.Write32(ring->base + RingLayout::kTail, 0);
+    WriteFrame(mem, frame, port, 77,
+               reinterpret_cast<const uint8_t*>(payload.data()),
+               static_cast<uint32_t>(payload.size()));
+    k_.machine().set_reg(kA1, frame);
+    Stopwatch sw(k_.machine());
+    k_.kexec().Call(nic_.demux().synthesized_demux());
+    EXPECT_EQ(k_.machine().reg(kD0), 1u) << "port " << port;
+    return sw.instructions();
+  };
+  EXPECT_EQ(frame_instrs(last),
+            frame_instrs(first) + Demux::kProbeInstructions)
+      << "first-bound vs last-bound port at " << nic_.demux().flow_count()
+      << " flows";
 }
 
 TEST_F(NetTest, DemuxCellSwapsImplementationWithoutRebinding) {

@@ -888,11 +888,10 @@ TEST_F(StreamTest, ChurnUnderInjectedFailuresKeepsOccupancyExact) {
     EXPECT_EQ(st_.StateOf(cli), CcbLayout::kDone) << "cycle " << i;
     EXPECT_EQ(st_.StateOf(srv), CcbLayout::kDone) << "cycle " << i;
     k_.Run(1'000'000);
-    // The demux's own rebuild-under-injection may have fallen back to its
-    // generic routine (one fewer live block until the next bind re-emits a
-    // specialized one) — but never more blocks, and allocator occupancy is
-    // exactly the pre-churn value.
-    EXPECT_LE(k_.code().live_block_count(), blocks0) << "cycle " << i;
+    // Binds never re-emit the demux head, so the refusals above touched only
+    // the two processors: block and allocator occupancy are exactly the
+    // pre-churn values.
+    EXPECT_EQ(k_.code().live_block_count(), blocks0) << "cycle " << i;
     EXPECT_EQ(k_.allocator().bytes_in_use(), bytes0) << "cycle " << i;
     EXPECT_EQ(k_.allocator().allocation_count(), allocs0) << "cycle " << i;
 
@@ -902,6 +901,62 @@ TEST_F(StreamTest, ChurnUnderInjectedFailuresKeepsOccupancyExact) {
     EXPECT_EQ(k_.code().live_block_count(), blocks0) << "cycle " << i;
     EXPECT_EQ(k_.allocator().bytes_in_use(), bytes0) << "cycle " << i;
   }
+}
+
+// A code-store refusal while a connection establishes degrades only that
+// connection's processor. The NIC stays on its synthesized demux head, and
+// every other flow keeps its own synthesized processor and keeps moving
+// bytes through the head.
+TEST_F(StreamTest, InstallRefusalAtEstablishmentDegradesOnlyThatConnection) {
+  ConnId srv = st_.Listen(80);
+  ConnId cli = st_.Connect(80);
+  ASSERT_NE(srv, kBadConn);
+  ASSERT_NE(cli, kBadConn);
+  k_.Run(10'000'000);
+  ASSERT_EQ(st_.StateOf(cli), CcbLayout::kEstablished);
+  const BlockId head = nic_.demux().synthesized_demux();
+  ASSERT_NE(head, nic_.demux().generic_demux());
+  const BlockId srv_proc = st_.SynthDeliverOf(srv);
+  const BlockId cli_proc = st_.SynthDeliverOf(cli);
+
+  // Open a second pair (channel plumbing needs real installs), then refuse
+  // every install while it establishes.
+  ConnId srv2 = st_.Listen(81);
+  ConnId cli2 = st_.Connect(81);
+  ASSERT_NE(srv2, kBadConn);
+  ASSERT_NE(cli2, kBadConn);
+  FaultTrigger certain;
+  certain.probability = 1.0;
+  k_.faults().Arm(FaultSite::kCodeInstall, certain);
+  k_.Run(10'000'000);
+  ASSERT_EQ(st_.StateOf(srv2), CcbLayout::kEstablished);
+  ASSERT_EQ(st_.StateOf(cli2), CcbLayout::kEstablished);
+  EXPECT_TRUE(st_.DegradedOf(srv2));
+  EXPECT_TRUE(st_.DegradedOf(cli2));
+  EXPECT_EQ(nic_.demux().synthesized_demux(), head)
+      << "the refusals must not drop the whole NIC onto the generic walk";
+  EXPECT_FALSE(k_.spec().DegradedOf(nic_.demux().head_spec()));
+  EXPECT_FALSE(st_.DegradedOf(srv));
+  EXPECT_FALSE(st_.DegradedOf(cli));
+  EXPECT_EQ(st_.SynthDeliverOf(srv), srv_proc);
+  EXPECT_EQ(st_.SynthDeliverOf(cli), cli_proc);
+
+  // Both pairs move bytes while the store is still shut: the healthy one on
+  // its own processor, the degraded one through the generic walk.
+  Addr buf = k_.allocator().Allocate(64);
+  Memory& mem = k_.machine().memory();
+  mem.WriteBytes(buf, "healthy", 7);
+  ASSERT_EQ(st_.Send(cli, buf, 7), 7);
+  mem.WriteBytes(buf, "degraded", 8);
+  ASSERT_EQ(st_.Send(cli2, buf, 8), 8);
+  k_.Run(10'000'000);
+  EXPECT_EQ(DrainAll(srv), "healthy");
+  EXPECT_EQ(DrainAll(srv2), "degraded");
+  k_.faults().Disarm(FaultSite::kCodeInstall);
+  st_.SweepNowForTest();
+  EXPECT_FALSE(st_.DegradedOf(srv2));
+  EXPECT_FALSE(st_.DegradedOf(cli2));
+  EXPECT_EQ(nic_.demux().synthesized_demux(), head);
 }
 
 TEST_F(StreamTest, DuplicateAlarmAtOneDeadlineFiresExactlyOneTimeout) {

@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <map>
 #include <memory>
 #include <random>
 #include <set>
@@ -307,6 +308,228 @@ TEST_P(DemuxFuzz, RandomFlowsAndMalformedPacketsNeverBreakTheDemux) {
   }
   ExpectWellFormed(k, demux.generic_demux());
   ExpectWellFormed(k, demux.synthesized_demux());
+}
+
+// Random bind / unbind / rebind interleavings over ports chosen to collide in
+// the dispatch head's cell table (including a cluster that wraps past its
+// last cell), with every step diffing the head against the generic walk on
+// the verdict, the matched port, ring bytes and all counters. Custom flows
+// alternate their deliver between the generic walk itself and a trampoline
+// that calls it and leaves a marker in d6, so a rebind that patched the wrong
+// cell shows up. The run ends by filling the table to kMaxFlows.
+TEST_P(DemuxFuzz, CollidingBindUnbindRebindHeadMatchesGenericWalk) {
+  std::mt19937 rng(static_cast<uint32_t>(GetParam()) * 2654435761u + 17);
+  Kernel k;
+  IoSystem io(k, nullptr);
+  DemuxSynthesizer demux(k);
+  Memory& mem = k.machine().memory();
+  constexpr uint32_t kCells = DemuxSynthesizer::kHeadCells;
+
+  // Candidate ports: everything homing in three 4-cell windows, one of them
+  // straddling the wrap from the last cell back to cell 0.
+  const uint32_t anchors[3] = {kCells - 2, static_cast<uint32_t>(rng() % kCells),
+                               static_cast<uint32_t>(rng() % kCells)};
+  std::vector<uint16_t> candidates;
+  for (uint32_t p = 1; p < 65536; p++) {
+    const uint32_t home = DemuxSynthesizer::HomeCell(p);
+    for (uint32_t a : anchors) {
+      if (((home - a) & (kCells - 1)) < 4) {
+        candidates.push_back(static_cast<uint16_t>(p));
+        break;
+      }
+    }
+  }
+  ASSERT_GT(candidates.size(), 64u);
+
+  std::vector<std::shared_ptr<RingHost>> rings;
+  for (uint32_t capexp : {6u, 8u, 10u}) {
+    rings.push_back(io.MakeRing(1u << capexp));
+  }
+  constexpr uint32_t kMarker = 0x7A11;
+  Asm tr("fuzz_trampoline");
+  tr.Jsr(static_cast<int32_t>(demux.generic_demux()));
+  tr.MoveI(kD6, static_cast<int32_t>(kMarker));
+  tr.Rts();
+  SynthesisOptions verbatim = SynthesisOptions::Disabled();
+  const BlockId trampoline = k.SynthesizeInstall(
+      tr.Build(), Bindings(), nullptr, "fuzz_trampoline", nullptr, &verbatim);
+  ASSERT_NE(trampoline, kInvalidBlock);
+
+  struct Bound {
+    bool custom = false;
+    BlockId deliver = kInvalidBlock;  // custom flows: generic walk or trampoline
+  };
+  std::map<uint16_t, Bound> bound;
+  std::vector<uint16_t> removed;
+  Addr frame = k.allocator().Allocate(FrameLayout::kSlotBytes);
+  std::uniform_int_distribution<uint32_t> port_pick(1, 65535);
+
+  auto counters = [&](std::vector<uint32_t>* out) {
+    out->assign({static_cast<uint32_t>(demux.csum_rejects()),
+                 static_cast<uint32_t>(demux.malformed()),
+                 static_cast<uint32_t>(demux.ring_drops()),
+                 static_cast<uint32_t>(demux.delivered_total())});
+    for (const auto& [p, b] : bound) {
+      out->push_back(static_cast<uint32_t>(demux.delivered(p)));
+    }
+  };
+  // Runs one frame through both routines from identical (emptied) rings and
+  // compares everything observable.
+  auto diff_frame = [&](uint32_t dst, const std::string& what) {
+    uint32_t len = rng() % 4 == 0 ? rng() % 96 : rng() % 24;
+    std::vector<uint8_t> payload(len);
+    for (auto& b : payload) {
+      b = static_cast<uint8_t>(rng());
+    }
+    const uint32_t src = port_pick(rng);
+    uint32_t csum = FrameChecksum(dst, src, payload.data(), len);
+    if (rng() % 6 == 0) {
+      csum += 1;
+    }
+    uint32_t declared = rng() % 10 == 0 ? FrameLayout::kMaxPayload + 1 : len;
+    mem.Write32(frame + FrameLayout::kDstPort, dst);
+    mem.Write32(frame + FrameLayout::kSrcPort, src);
+    mem.Write32(frame + FrameLayout::kLength, declared);
+    mem.Write32(frame + FrameLayout::kChecksum, csum);
+    if (len > 0) {
+      mem.WriteBytes(frame + FrameLayout::kPayload, payload.data(), len);
+    }
+    uint32_t d0[2], d2[2], d6[2];
+    std::vector<uint32_t> delta[2];
+    std::vector<uint8_t> bytes[2];
+    for (int pass = 0; pass < 2; pass++) {
+      for (const auto& ring : rings) {
+        mem.Write32(ring->base + RingLayout::kHead, 0);
+        mem.Write32(ring->base + RingLayout::kTail, 0);
+        const uint32_t cap = mem.Read32(ring->base + RingLayout::kMask) + 1;
+        for (uint32_t off = 0; off < cap; off++) {
+          mem.Write8(ring->base + RingLayout::kBuf + off, 0);
+        }
+      }
+      std::vector<uint32_t> before;
+      counters(&before);
+      k.machine().set_reg(kA1, frame);
+      k.machine().set_reg(kD0, 0xDEAD);
+      k.machine().set_reg(kD6, 0);
+      RunResult rr = k.kexec().Call(pass == 0 ? demux.generic_demux()
+                                              : demux.synthesized_demux());
+      ASSERT_EQ(rr.outcome, RunOutcome::kReturned) << what;
+      d0[pass] = k.machine().reg(kD0);
+      d2[pass] = k.machine().reg(kD2);
+      d6[pass] = k.machine().reg(kD6);
+      counters(&delta[pass]);
+      for (size_t i = 0; i < before.size(); i++) {
+        delta[pass][i] -= before[i];
+      }
+      for (const auto& ring : rings) {
+        bytes[pass].push_back(
+            static_cast<uint8_t>(mem.Read32(ring->base + RingLayout::kHead)));
+        const uint32_t cap = mem.Read32(ring->base + RingLayout::kMask) + 1;
+        for (uint32_t off = 0; off < cap; off++) {
+          bytes[pass].push_back(mem.Read8(ring->base + RingLayout::kBuf + off));
+        }
+      }
+    }
+    EXPECT_EQ(d0[0], d0[1]) << "verdict: " << what;
+    if (d0[0] != static_cast<uint32_t>(-2)) {
+      EXPECT_EQ(d2[0], d2[1]) << "matched port: " << what;
+    }
+    EXPECT_EQ(delta[0], delta[1]) << "counters: " << what;
+    EXPECT_EQ(bytes[0], bytes[1]) << "ring bytes: " << what;
+    auto it = dst <= 0xFFFF ? bound.find(static_cast<uint16_t>(dst)) : bound.end();
+    if (it == bound.end()) {
+      EXPECT_EQ(d0[1], static_cast<uint32_t>(-2)) << "miss: " << what;
+    } else if (it->second.custom && d0[1] != 0) {
+      // Accepted or refused past the port match: the cell's deliver ran.
+      EXPECT_EQ(d6[1] == kMarker, it->second.deliver == trampoline)
+          << "rebind reached the wrong deliver: " << what;
+    }
+  };
+
+  for (int step = 0; step < 160; step++) {
+    const uint32_t op = rng() % 8;
+    if (op < 4 || bound.empty()) {
+      const uint16_t port = candidates[rng() % candidates.size()];
+      if (bound.count(port) != 0) {
+        continue;
+      }
+      auto& ring = rings[rng() % rings.size()];
+      Bound b;
+      b.custom = rng() % 2 == 0;
+      if (b.custom) {
+        b.deliver = rng() % 2 == 0 ? trampoline : demux.generic_demux();
+        ASSERT_TRUE(demux.AddFlowCustom(port, ring->base, 0, b.deliver,
+                                        demux.deliver_generic_block()));
+      } else {
+        ASSERT_TRUE(demux.AddFlow(port, ring->base, rng() % 3 == 0 ? 8 : 0));
+        EXPECT_FALSE(demux.SetFlowDeliver(port, trampoline))
+            << "a datagram flow's deliver belongs to the demux";
+      }
+      bound[port] = b;
+      diff_frame(port, "bind " + std::to_string(port));
+    } else if (op < 6) {
+      auto it = std::next(bound.begin(), static_cast<long>(rng() % bound.size()));
+      const uint16_t port = it->first;
+      ASSERT_TRUE(demux.RemoveFlow(port));
+      bound.erase(it);
+      removed.push_back(port);
+      diff_frame(port, "just removed " + std::to_string(port));
+    } else {
+      std::vector<uint16_t> custom;
+      for (const auto& [p, b] : bound) {
+        if (b.custom) {
+          custom.push_back(p);
+        }
+      }
+      if (custom.empty()) {
+        continue;
+      }
+      const uint16_t port = custom[rng() % custom.size()];
+      Bound& b = bound[port];
+      b.deliver = b.deliver == trampoline ? demux.generic_demux() : trampoline;
+      ASSERT_TRUE(demux.SetFlowDeliver(port, b.deliver));
+      diff_frame(port, "rebind " + std::to_string(port));
+    }
+    // Every bound port stays findable through its probe; a random other
+    // port, bound or not, diffs too.
+    for (const auto& [p, b] : bound) {
+      ASSERT_GT(demux.ProbeLength(p), 0u) << "lost port " << p;
+    }
+    const uint16_t other = candidates[rng() % candidates.size()];
+    diff_frame(other, "colliding " + std::to_string(other));
+    if (!removed.empty()) {
+      const uint16_t gone = removed[rng() % removed.size()];
+      diff_frame(gone, "removed earlier " + std::to_string(gone));
+    }
+  }
+  EXPECT_EQ(demux.flow_count(), bound.size());
+  ExpectWellFormed(k, demux.synthesized_demux());
+
+  // Fill to kMaxFlows: the table's load factor peaks at one half.
+  uint16_t next = 1;
+  while (demux.flow_count() < DemuxSynthesizer::kMaxFlows) {
+    if (bound.count(next) == 0) {
+      ASSERT_TRUE(demux.AddFlowCustom(next, rings[0]->base, 0,
+                                      demux.generic_demux(),
+                                      demux.deliver_generic_block()));
+      bound[next] = Bound{true, demux.generic_demux()};
+    }
+    next++;
+  }
+  uint16_t spare = next;
+  while (bound.count(spare) != 0) {
+    spare++;
+  }
+  EXPECT_FALSE(demux.AddFlowCustom(spare, rings[0]->base, 0,
+                                   demux.generic_demux(),
+                                   demux.deliver_generic_block()))
+      << "the table is full";
+  for (int i = 0; i < 24; i++) {
+    auto it = std::next(bound.begin(), static_cast<long>(rng() % bound.size()));
+    diff_frame(it->first, "full table, bound " + std::to_string(it->first));
+    diff_frame(port_pick(rng), "full table, random port");
+  }
+  diff_frame(spare, "full table, never bound");
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, DemuxFuzz, ::testing::Range(1, 9));
