@@ -55,7 +55,12 @@ cmake --build "$BUILD_DIR" -j
 
 ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$(nproc)"
 
-# Bench smoke: table8 asserts its own acceptance numbers (synthesized steering
+# Bench smoke: table7 asserts the stream segment path (the synthesized
+# per-connection processor runs fewer instructions than the generic pipeline
+# on every row of both machine models).
+(cd "$BUILD_DIR" && ./bench/table7_stream > /dev/null)
+
+# table8 asserts its own acceptance numbers (synthesized steering
 # < 0.7x generic, 1->2 NIC scaling >= 1.7x) and exits nonzero on regression.
 (cd "$BUILD_DIR" && ./bench/table8_nic_pool > /dev/null)
 

@@ -121,7 +121,6 @@ class DemuxSynthesizer {
   // Building blocks and counter addresses custom deliver routines share with
   // the demux (so generic/synthesized paths bump identical counters).
   BlockId csum_block() const { return csum_; }
-  BlockId put1_block() const { return put1_; }
   // The shared layered delivery the generic walk calls for datagram flows
   // (a valid `generic_deliver` for AddFlowCustom).
   BlockId deliver_generic_block() const { return deliver_gen_; }

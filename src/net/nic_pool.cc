@@ -194,35 +194,24 @@ uint32_t NicPool::PinSteerOf(uint16_t port, uint16_t peer) const {
   return h % static_cast<uint32_t>(nics_.size());
 }
 
+const NicPool::Binding* NicPool::Find(uint16_t port) const {
+  auto it = by_port_.find(port);
+  return it == by_port_.end() ? nullptr : &it->second->second;
+}
+
 uint32_t NicPool::OwnerOf(uint16_t port) const {
-  for (const auto& [p, b] : bindings_) {
-    if (p == port) {
-      return b.owner;
-    }
-  }
-  return SteerOf(port);
+  const Binding* b = Find(port);
+  return b != nullptr ? b->owner : SteerOf(port);
 }
 
 uint32_t NicPool::RouteOf(uint16_t dst_port, uint16_t src_port) const {
   // Host twin of the emitted routing: the pin stage matches (dst, src)
   // exactly; anything else falls through to the dst hash.
-  for (const auto& [p, b] : bindings_) {
-    if (p == dst_port) {
-      if (!b.pinned || b.spec.pin_peer == src_port) {
-        return b.owner;
-      }
-      break;
-    }
+  const Binding* b = Find(dst_port);
+  if (b != nullptr && (!b->pinned || b->spec.pin_peer == src_port)) {
+    return b->owner;
   }
   return SteerOf(dst_port);
-}
-
-uint32_t NicPool::pinned_count() const {
-  uint32_t n = 0;
-  for (const auto& [p, b] : bindings_) {
-    n += b.pinned ? 1 : 0;
-  }
-  return n;
 }
 
 void NicPool::WriteDescriptor() {
@@ -775,7 +764,7 @@ bool NicPool::BindOn(uint32_t idx, const FlowSpec& spec) {
 bool NicPool::BindFlow(FlowSpec spec) {
   Binding b;
   // A full pin table degrades to hash placement — correct, just unbalanced.
-  b.pinned = spec.pin && pinned_count() < kMaxPins;
+  b.pinned = spec.pin && CanPin();
   spec.pin = b.pinned;
   b.owner =
       b.pinned ? PinSteerOf(spec.port, spec.pin_peer) : SteerOf(spec.port);
@@ -785,8 +774,9 @@ bool NicPool::BindFlow(FlowSpec spec) {
   }
   uint16_t port = b.spec.port;
   bool pinned = b.pinned;
-  bindings_.emplace_back(port, std::move(b));
+  by_port_[port] = bindings_.emplace(bindings_.end(), port, std::move(b));
   if (pinned) {
+    pinned_++;
     WriteDescriptor();
     EmitSteering();
   }
@@ -797,42 +787,36 @@ bool NicPool::BindFlow(FlowSpec spec) {
 }
 
 bool NicPool::RebindFlow(uint16_t port, BlockId synth_deliver) {
-  for (auto& [p, b] : bindings_) {
-    if (p == port) {
-      b.spec.synth_deliver = synth_deliver;  // so a future migration rebinds it
-      return nics_[b.owner]->RebindFlow(port, synth_deliver);
-    }
+  auto it = by_port_.find(port);
+  if (it == by_port_.end()) {
+    return false;
   }
-  return false;
+  Binding& b = it->second->second;
+  b.spec.synth_deliver = synth_deliver;  // so a future migration rebinds it
+  return nics_[b.owner]->RebindFlow(port, synth_deliver);
 }
 
 bool NicPool::UnbindFlow(uint16_t port) {
-  for (size_t i = 0; i < bindings_.size(); i++) {
-    if (bindings_[i].first == port) {
-      bool was_pinned = bindings_[i].second.pinned;
-      bool ok = nics_[bindings_[i].second.owner]->UnbindFlow(port);
-      bindings_.erase(bindings_.begin() + static_cast<long>(i));
-      if (was_pinned) {
-        WriteDescriptor();
-        EmitSteering();
-      }
-      WriteShedBit(port, false);
-      RefreshShedFilter();
-      ApplySteering();
-      return ok;
-    }
+  auto it = by_port_.find(port);
+  if (it == by_port_.end()) {
+    return false;
   }
-  return false;
+  const bool was_pinned = it->second->second.pinned;
+  const bool ok = nics_[it->second->second.owner]->UnbindFlow(port);
+  bindings_.erase(it->second);
+  by_port_.erase(it);
+  if (was_pinned) {
+    pinned_--;
+    WriteDescriptor();
+    EmitSteering();
+  }
+  WriteShedBit(port, false);
+  RefreshShedFilter();
+  ApplySteering();
+  return ok;
 }
 
-bool NicPool::HasFlow(uint16_t port) const {
-  for (const auto& [p, b] : bindings_) {
-    if (p == port) {
-      return true;
-    }
-  }
-  return false;
-}
+bool NicPool::HasFlow(uint16_t port) const { return by_port_.count(port) != 0; }
 
 bool NicPool::Transmit(uint16_t dst_port, uint16_t src_port,
                        const uint8_t* payload, uint32_t n) {

@@ -72,7 +72,9 @@
 
 #include <cstdint>
 #include <functional>
+#include <list>
 #include <memory>
+#include <unordered_map>
 #include <vector>
 
 #include "src/io/gauge.h"
@@ -124,8 +126,11 @@ class NicPool {
   // Where the flow for `port` actually lives (pin-aware; SteerOf for
   // unbound ports).
   uint32_t OwnerOf(uint16_t port) const;
+  // The NIC a frame to `dst_port` from `src_port` leaves through: the pinned
+  // owner when (dst, src) is a pinned connection, else OwnerOf(dst_port).
+  uint32_t RouteOf(uint16_t dst_port, uint16_t src_port) const;
   // Whether the pin table has room for another pinned connection flow.
-  bool CanPin() const { return pinned_count() < kMaxPins; }
+  bool CanPin() const { return pinned_ < kMaxPins; }
   // The demux that will see frames for `port` (the owning NIC's).
   DemuxSynthesizer& demux_of(uint16_t port) { return nic(OwnerOf(port)).demux(); }
 
@@ -278,13 +283,17 @@ class NicPool {
   void MirrorShedCounters();
   void ApplySteering();     // points outer cells at filter or steering
   bool BindOn(uint32_t idx, const FlowSpec& spec);
-  uint32_t RouteOf(uint16_t dst_port, uint16_t src_port) const;
-  uint32_t pinned_count() const;
+  const Binding* Find(uint16_t port) const;
 
   Kernel& kernel_;
   NicPoolConfig config_;
   std::vector<std::unique_ptr<NicDevice>> nics_;
-  std::vector<std::pair<uint16_t, Binding>> bindings_;
+  // Bound flows in bind order (the order steering and the shed chain emit
+  // them in), indexed by port; pinned_ counts the pinned ones.
+  using BindingList = std::list<std::pair<uint16_t, Binding>>;
+  BindingList bindings_;
+  std::unordered_map<uint16_t, BindingList::iterator> by_port_;
+  uint32_t pinned_ = 0;
 
   Addr desc_ = 0;
   BlockId steer_generic_ = kInvalidBlock;   // installed once, never a handle

@@ -10,11 +10,13 @@ namespace synthesis {
 
 namespace {
 
-// Emits `*addr_sym += 1` (clobbers d1).
-void BumpCounter(Asm& a, const std::string& addr_sym) {
-  a.LoadA32(kD1, Asm::Sym(addr_sym));
+// Emits `*ctr_sym += 1; return 0`: the frame is rejected (clobbers d1).
+void Reject(Asm& a, const std::string& ctr_sym) {
+  a.LoadA32(kD1, Asm::Sym(ctr_sym));
   a.AddI(kD1, 1);
-  a.StoreA32(Asm::Sym(addr_sym), kD1);
+  a.StoreA32(Asm::Sym(ctr_sym), kD1);
+  a.MoveI(kD0, 0);
+  a.Rts();
 }
 
 // Emits `events |= bit` through the CCB pointer in a5 (clobbers d1).
@@ -24,11 +26,11 @@ void OrEvent(Asm& a, uint32_t bit) {
   a.Store32(kA5, kD1, CcbLayout::kEvents);
 }
 
-// Emits `events |= bit` through the folded CCB address (clobbers d1).
-void OrEventA(Asm& a, uint32_t bit) {
-  a.LoadA32(kD1, Asm::Sym("ev"));
-  a.OrI(kD1, static_cast<int32_t>(bit));
-  a.StoreA32(Asm::Sym("ev"), kD1);
+// Emits `*(a5 + off) += 1` (clobbers d1).
+void BumpField(Asm& a, uint32_t off) {
+  a.Load32(kD1, kA5, static_cast<int32_t>(off));
+  a.AddI(kD1, 1);
+  a.Store32(kA5, kD1, static_cast<int32_t>(off));
 }
 
 // Timer deadlines are compared at integer-microsecond granularity: the
@@ -55,23 +57,46 @@ constexpr uint32_t kMaxProbesPerSweep = 8;
 // cycle turn the reaper off in all but name.
 constexpr uint32_t kMaxSweepStretch = 16;
 
-// The GENERIC segment processor, shared by every connection: the layered
-// baseline. Called from the generic demux's handler dispatch with a1 = frame,
-// a2 = flow-table entry, a4 = ring, d5 = validated length (d2, the matched
-// port, must survive). Checksum and max-length were already verified by the
-// generic demux walk. Everything here is a pointer chase: the CCB comes from
-// the flow entry, every connection variable is register-indirect, and payload
-// bytes go through the generic one-call-per-byte ring put.
-CodeTemplate GenericStreamTemplate() {
-  Asm a("net_stream_gen");
-  a.Load32(kA5, kA2, FlowEntryLayout::kCtx);  // the CCB
+// The segment processor, written once (stream.h describes the tiers). Every
+// access is register-indirect: a5 = CCB, a4 = ring, a1 = frame, d5 = payload
+// length. Holes that select code, folded away once bound:
+//   walk       1: called from the generic demux walk with a2 = flow entry
+//              (its kCtx word is the CCB), a4 = ring, d2 = port and d5
+//              validated. 0: jumped to by the dispatch head with a1 = frame;
+//              validates in the walk's order (so every tier bumps the same
+//              reject counter) and takes a5/a4 from the `ccb`/`ring` holes.
+//   ctrl_only  1 before establishment: every segment takes the control path.
+//   wide       the kHot contiguity hint: a run that lands before the ring
+//              edge is copied word-wide.
+CodeTemplate StreamTemplate() {
+  Asm a("net_stream");
+  a.MoveI(kD7, Asm::Sym("walk"));
+  a.Tst(kD7);
+  a.Beq("direct");
+  a.Load32(kA5, kA2, FlowEntryLayout::kCtx);
+  a.Bra("hdr");
+  a.Label("direct");
+  a.MoveI(kD2, Asm::Sym("port"));
+  a.Load32(kD5, kA1, FrameLayout::kLength);
+  a.CmpI(kD5, FrameLayout::kMaxPayload);
+  a.Bhi("bad");
+  a.Jsr(Asm::Sym("csum"));  // inlined by Collapsing Layers
+  a.Tst(kD0);
+  a.Bne("ck");
+  Reject(a, "ctr_csum");
+  a.Label("ck");
+  a.MoveI(kA5, Asm::Sym("ccb"));
+  a.MoveI(kA4, Asm::Sym("ring"));
+  a.Label("hdr");
   a.CmpI(kD5, StreamSeg::kHdrBytes - 1);
   a.Bhi("hdrok");
-  BumpCounter(a, "ctr_mal");  // too short to hold a segment header
-  a.MoveI(kD0, 0);
-  a.Rts();
+  a.Label("bad");
+  Reject(a, "ctr_mal");  // too long, or too short to hold a segment header
   a.Label("hdrok");
   a.Store32(kA5, kA1, CcbLayout::kLastFrame);
+  a.MoveI(kD0, Asm::Sym("ctrl_only"));
+  a.Tst(kD0);
+  a.Bne("ctrl");
   a.Load32(kD0, kA5, CcbLayout::kState);
   a.CmpI(kD0, CcbLayout::kEstablished);
   a.Beq("fast");
@@ -122,9 +147,7 @@ CodeTemplate GenericStreamTemplate() {
   a.Load32(kD1, kA5, CcbLayout::kSndNxt);
   a.Cmp(kD1, kD0);
   a.Beq("ackdone");  // nothing outstanding
-  a.Load32(kD1, kA5, CcbLayout::kDupAcks);
-  a.AddI(kD1, 1);
-  a.Store32(kA5, kD1, CcbLayout::kDupAcks);
+  BumpField(a, CcbLayout::kDupAcks);
   OrEvent(a, CcbLayout::kEvDupAck);
   a.Label("ackdone");
   // In-order data lands in the ring; anything else is counted and re-acked.
@@ -136,9 +159,7 @@ CodeTemplate GenericStreamTemplate() {
   a.Load32(kD0, kA5, CcbLayout::kRcvNxt);
   a.Cmp(kD4, kD0);
   a.Beq("seqok");
-  a.Load32(kD1, kA5, CcbLayout::kOoo);
-  a.AddI(kD1, 1);
-  a.Store32(kA5, kD1, CcbLayout::kOoo);
+  BumpField(a, CcbLayout::kOoo);
   OrEvent(a, CcbLayout::kEvOoo);
   a.Bra("okout");
   a.Label("seqok");
@@ -156,23 +177,50 @@ CodeTemplate GenericStreamTemplate() {
   a.Label("room");
   a.Move(kA3, kA1);
   a.AddI(kA3, FrameLayout::kPayload + StreamSeg::kHdrBytes);
-  a.Label("cloop");
+  a.MoveI(kD0, Asm::Sym("wide"));
+  a.Tst(kD0);
+  a.Beq("cloop");
+  // head + len within the ring size: the whole run lands before the edge.
+  a.Move(kD1, kD7);
+  a.AddI(kD1, 1);  // ring size
+  a.Move(kD0, kD3);
+  a.Add(kD0, kD6);
+  a.Cmp(kD0, kD1);
+  a.Bhi("cloop");  // would wrap: the masked byte loop handles it
+  a.Lea(kA2, kA4, RingLayout::kBuf);
+  a.Add(kA2, kD3);
+  a.Label("wloop");
+  a.CmpI(kD6, 3);
+  a.Bls("wtail");
+  a.Load32(kD1, kA3, 0);
+  a.Store32(kA2, kD1, 0);
+  a.AddI(kA3, 4);
+  a.AddI(kA2, 4);
+  a.AddI(kD3, 4);
+  a.SubI(kD6, 4);
+  a.Bra("wloop");
+  a.Label("wtail");
+  a.And(kD3, kD7);  // head + len == size wraps to 0
+  a.Label("cloop");  // the byte loop; also takes the word copy's 0-3 tail
   a.Tst(kD6);
   a.Beq("cdone");
   a.Load8(kD1, kA3, 0);
-  a.Jsr(Asm::Sym("put1"));  // the generic ring put, one call per byte
+  a.Lea(kA2, kA4, RingLayout::kBuf);
+  a.Add(kA2, kD3);
+  a.Store8(kA2, kD1, 0);
+  a.AddI(kD3, 1);
+  a.And(kD3, kD7);
   a.AddI(kA3, 1);
   a.SubI(kD6, 1);
   a.Bra("cloop");
   a.Label("cdone");
+  a.Store32(kA4, kD3, RingLayout::kHead);  // published once (§3.2)
   a.Move(kD6, kD5);
   a.SubI(kD6, StreamSeg::kHdrBytes);
   a.Load32(kD1, kA5, CcbLayout::kRcvNxt);
   a.Add(kD1, kD6);
   a.Store32(kA5, kD1, CcbLayout::kRcvNxt);
-  a.Load32(kD1, kA5, CcbLayout::kAccepted);
-  a.AddI(kD1, 1);
-  a.Store32(kA5, kD1, CcbLayout::kAccepted);
+  BumpField(a, CcbLayout::kAccepted);
   OrEvent(a, CcbLayout::kEvData);
   a.Label("okout");
   a.MoveI(kD0, 1);
@@ -213,247 +261,45 @@ StreamLayer::~StreamLayer() {
 }
 
 BlockId StreamLayer::GenericProcFor(uint32_t nic_idx) {
-  auto it = proc_gen_.find(nic_idx);
-  if (it != proc_gen_.end()) {
-    return it->second;
-  }
-  // Installed verbatim: it IS the layered baseline. One copy per NIC, bound
-  // to that device's demux helpers (its ring put and malformed counter).
-  DemuxSynthesizer& dmx = pool_.nic(nic_idx).demux();
-  Bindings b;
-  b.Set("put1", static_cast<int32_t>(dmx.put1_block()));
-  b.Set("ctr_mal", static_cast<int32_t>(dmx.ctr_malformed_addr()));
-  SynthesisOptions verbatim = SynthesisOptions::Disabled();
-  const std::string name = "net_stream_gen#" + std::to_string(nic_idx);
-  BlockId blk = kernel_.SynthesizeInstall(GenericStreamTemplate(), b, nullptr,
-                                          name, nullptr, &verbatim);
-  if (blk != kInvalidBlock) {  // never cache an injected install failure
-    proc_gen_.emplace(nic_idx, blk);
+  // A refused install caches kInvalidBlock, so the next open retries.
+  BlockId& blk = proc_gen_[nic_idx];
+  if (blk == kInvalidBlock) {
+    blk = EmitProcessor(pool_.nic(nic_idx).demux(), nullptr, SpecTier::kGeneric,
+                        "net_stream_gen#" + std::to_string(nic_idx));
   }
   return blk;
 }
 
-// The SYNTHESIZED per-connection segment processor. Called from the demux's
-// compare-chain with a1 = frame; must set d2 to the (folded) port. Before
-// establishment the peer is unknown, so everything routes to the host's
-// control path; at establishment the processor is re-emitted with the
-// connection-lifetime invariants folded in: the peer port is an immediate
-// compare, every CCB field an absolute address, the checksum inlined, and
-// the ring geometry folded into a bulk copy publishing the head once.
-//
-// The kHot tier folds one step deeper: when the payload's destination run is
-// contiguous (head + len fits before the ring edge — the common case for a
-// ring much larger than a segment), the copy runs word-wide with no per-byte
-// mask, roughly a quarter of the byte loop's path length; a run that would
-// wrap falls back to the masked byte loop in the same block.
-BlockId StreamLayer::BuildSynthDeliver(const Conn& c, SpecTier tier) {
-  Memory& mem = kernel_.machine().memory();
-  const bool established = c.state == CcbLayout::kEstablished ||
-                           c.state == CcbLayout::kFinSent;
-  const bool hot = tier == SpecTier::kHot && established;
-  const std::string name = "net_stream$" + std::to_string(c.local_port) + "#" +
-                           std::to_string(c.synth_gen);
-  Asm a(name);
-  // Validation order matches the generic pipeline exactly (demux walk, then
-  // handler): max length, checksum, header minimum — so both implementations
-  // bump the same reject counter for every malformed frame.
-  a.MoveI(kD2, Asm::Sym("port"));
-  a.Load32(kD5, kA1, FrameLayout::kLength);
-  a.CmpI(kD5, FrameLayout::kMaxPayload);
-  a.Bhi("bad");
-  a.Jsr(Asm::Sym("csum"));  // inlined by Collapsing Layers
-  a.Tst(kD0);
-  a.Bne("ck");
-  BumpCounter(a, "ctr_csum");
-  a.MoveI(kD0, 0);
-  a.Rts();
-  a.Label("ck");
-  a.CmpI(kD5, StreamSeg::kHdrBytes - 1);
-  a.Bhi("len1");
-  a.Label("bad");
-  BumpCounter(a, "ctr_mal");
-  a.MoveI(kD0, 0);
-  a.Rts();
-  a.Label("len1");
-  a.StoreA32(Asm::Sym("lastf"), kA1);
-  if (!established) {
-    OrEventA(a, CcbLayout::kEvCtrl);
-    a.MoveI(kD0, 1);
-    a.Rts();
-  } else {
-    a.LoadA32(kD0, Asm::Sym("st"));
-    a.CmpI(kD0, CcbLayout::kEstablished);
-    a.Beq("fast");
-    a.CmpI(kD0, CcbLayout::kFinSent);
-    a.Beq("fast");
-    a.Label("ctrl");
-    OrEventA(a, CcbLayout::kEvCtrl);
-    a.MoveI(kD0, 1);
-    a.Rts();
-    a.Label("fast");
-    a.Load32(kD1, kA1, FrameLayout::kSrcPort);
-    a.CmpI(kD1, Asm::Sym("peer"));  // the connection's folded invariant
-    a.Beq("peerok");
-    OrEventA(a, CcbLayout::kEvBadSeg);
-    a.MoveI(kD0, 0);
-    a.Rts();
-    a.Label("peerok");
-    a.Load32(kD6, kA1, FrameLayout::kPayload + StreamSeg::kFlags);
-    a.Move(kD1, kD6);
-    a.AndI(kD1,
-           StreamSeg::kFlagSyn | StreamSeg::kFlagFin | StreamSeg::kFlagRst);
-    a.Tst(kD1);
-    a.Bne("ctrl");
-    // Serial-arithmetic cumulative ack — mirrors the generic processor.
-    a.Load32(kD4, kA1, FrameLayout::kPayload + StreamSeg::kAck);
-    a.LoadA32(kD0, Asm::Sym("una"));
-    a.Move(kD1, kD4);
-    a.Sub(kD1, kD0);
-    a.Tst(kD1);
-    a.Ble("noadv");  // (ack - una) <= 0 signed: no advance
-    a.LoadA32(kD1, Asm::Sym("nxt"));
-    a.Move(kD7, kD4);
-    a.Sub(kD7, kD1);
-    a.Tst(kD7);
-    a.Bgt("ackdone");  // (ack - nxt) > 0 signed: acks data never sent
-    a.StoreA32(Asm::Sym("una"), kD4);
-    OrEventA(a, CcbLayout::kEvAckAdvance);
-    a.MoveI(kD1, 0);
-    a.StoreA32(Asm::Sym("dup"), kD1);
-    a.Bra("ackdone");
-    a.Label("noadv");
-    a.Bne("ackdone");  // ack - una != 0: stale
-    a.CmpI(kD5, StreamSeg::kHdrBytes);
-    a.Bne("ackdone");
-    a.LoadA32(kD1, Asm::Sym("nxt"));
-    a.Cmp(kD1, kD0);
-    a.Beq("ackdone");
-    a.LoadA32(kD1, Asm::Sym("dup"));
-    a.AddI(kD1, 1);
-    a.StoreA32(Asm::Sym("dup"), kD1);
-    OrEventA(a, CcbLayout::kEvDupAck);
-    a.Label("ackdone");
-    a.Move(kD6, kD5);
-    a.SubI(kD6, StreamSeg::kHdrBytes);
-    a.Tst(kD6);
-    a.Beq("okout");
-    a.Load32(kD4, kA1, FrameLayout::kPayload + StreamSeg::kSeq);
-    a.LoadA32(kD0, Asm::Sym("rnxt"));
-    a.Cmp(kD4, kD0);
-    a.Beq("seqok");
-    a.LoadA32(kD1, Asm::Sym("ooo"));
-    a.AddI(kD1, 1);
-    a.StoreA32(Asm::Sym("ooo"), kD1);
-    OrEventA(a, CcbLayout::kEvOoo);
-    a.Bra("okout");
-    a.Label("seqok");
-    // Ring space check and bulk copy against folded ring constants; the
-    // producer index is published once at the end (§3.2: publish last).
-    a.LoadA32(kD3, Asm::Sym("head"));
-    a.LoadA32(kD4, Asm::Sym("tail"));
-    a.Move(kD0, kD4);
-    a.Sub(kD0, kD3);
-    a.SubI(kD0, 1);
-    a.AndI(kD0, Asm::Sym("mask"));
-    a.Cmp(kD6, kD0);
-    a.Bls("room");
-    OrEventA(a, CcbLayout::kEvRingFull);
-    a.Bra("okout");
-    a.Label("room");
-    a.Move(kA3, kA1);
-    a.AddI(kA3, FrameLayout::kPayload + StreamSeg::kHdrBytes);
-    if (hot) {
-      // Contiguity check: head + len within the ring size means the whole
-      // run lands before the edge, so the copy needs no per-byte mask.
-      a.Move(kD0, kD3);
-      a.Add(kD0, kD6);
-      a.CmpI(kD0, Asm::Sym("rsz"));
-      a.Bhi("cloop");  // would wrap: the masked byte loop handles it
-      a.Lea(kA2, kD3, Asm::Sym("buf"));
-      a.Label("wloop");
-      a.CmpI(kD6, 3);
-      a.Bls("wtail");
-      a.Load32(kD1, kA3, 0);
-      a.Store32(kA2, kD1, 0);
-      a.AddI(kA3, 4);
-      a.AddI(kA2, 4);
-      a.AddI(kD3, 4);
-      a.SubI(kD6, 4);
-      a.Bra("wloop");
-      a.Label("wtail");
-      a.Tst(kD6);
-      a.Beq("wdone");
-      a.Load8(kD1, kA3, 0);
-      a.Store8(kA2, kD1, 0);
-      a.AddI(kA3, 1);
-      a.AddI(kA2, 1);
-      a.AddI(kD3, 1);
-      a.SubI(kD6, 1);
-      a.Bra("wtail");
-      a.Label("wdone");
-      a.AndI(kD3, Asm::Sym("mask"));  // head + len == size wraps to 0
-      a.Bra("cdone");
-    }
-    a.Label("cloop");
-    a.Tst(kD6);
-    a.Beq("cdone");
-    a.Load8(kD1, kA3, 0);
-    a.Lea(kA2, kD3, Asm::Sym("buf"));
-    a.Store8(kA2, kD1, 0);
-    a.AddI(kD3, 1);
-    a.AndI(kD3, Asm::Sym("mask"));
-    a.AddI(kA3, 1);
-    a.SubI(kD6, 1);
-    a.Bra("cloop");
-    a.Label("cdone");
-    a.StoreA32(Asm::Sym("head"), kD3);
-    a.Move(kD6, kD5);
-    a.SubI(kD6, StreamSeg::kHdrBytes);
-    a.LoadA32(kD1, Asm::Sym("rnxt"));
-    a.Add(kD1, kD6);
-    a.StoreA32(Asm::Sym("rnxt"), kD1);
-    a.LoadA32(kD1, Asm::Sym("acc"));
-    a.AddI(kD1, 1);
-    a.StoreA32(Asm::Sym("acc"), kD1);
-    OrEventA(a, CcbLayout::kEvData);
-    a.Label("okout");
-    a.MoveI(kD0, 1);
-    a.Rts();
-  }
-
-  // Bind against the demux that will actually see this port's frames — the
-  // pool steers by local-port hash, so this is the owning NIC's. (If the pool
-  // later grows and migrates the flow, these blocks and counter words stay
-  // installed and valid; the steering stage is what moves.)
-  DemuxSynthesizer& dmx = pool_.demux_of(c.local_port);
+// Binds StreamTemplate for one tier: nothing about a connection for the
+// shared generic processor (null `c`); otherwise c's CCB and ring bases, its
+// ring mask (and, once established, its peer port) as invariants, and for
+// kHot the contiguity hint.
+BlockId StreamLayer::EmitProcessor(DemuxSynthesizer& dmx, const Conn* c,
+                                   SpecTier tier, const std::string& name) {
+  const bool established =
+      c != nullptr && (c->state == CcbLayout::kEstablished ||
+                       c->state == CcbLayout::kFinSent);
   Bindings b;
-  b.Set("port", c.local_port);
-  b.Set("csum", static_cast<int32_t>(dmx.csum_block()));
-  b.Set("ctr_mal", static_cast<int32_t>(dmx.ctr_malformed_addr()));
-  b.Set("ctr_csum", static_cast<int32_t>(dmx.ctr_csum_addr()));
-  b.Set("lastf", static_cast<int32_t>(c.ccb + CcbLayout::kLastFrame));
-  b.Set("ev", static_cast<int32_t>(c.ccb + CcbLayout::kEvents));
+  b.Set("csum", static_cast<int32_t>(dmx.csum_block()))
+      .Set("ctr_mal", static_cast<int32_t>(dmx.ctr_malformed_addr()))
+      .Set("ctr_csum", static_cast<int32_t>(dmx.ctr_csum_addr()))
+      .Set("walk", c == nullptr)
+      .Set("port", c != nullptr ? c->local_port : 0)
+      .Set("ccb", static_cast<int32_t>(c != nullptr ? c->ccb : 0))
+      .Set("ring", static_cast<int32_t>(c != nullptr ? c->ring->base : 0))
+      .Set("ctrl_only", c != nullptr && !established)
+      .Set("wide", c != nullptr && tier == SpecTier::kHot);
+  InvariantMemory inv(kernel_.machine().memory());
+  if (c != nullptr) {
+    inv.AddRange(RingLayout::InvariantRange(c->ring->base));
+  }
   if (established) {
-    b.Set("peer", c.peer_port);
-    b.Set("st", static_cast<int32_t>(c.ccb + CcbLayout::kState));
-    b.Set("una", static_cast<int32_t>(c.ccb + CcbLayout::kSndUna));
-    b.Set("nxt", static_cast<int32_t>(c.ccb + CcbLayout::kSndNxt));
-    b.Set("rnxt", static_cast<int32_t>(c.ccb + CcbLayout::kRcvNxt));
-    b.Set("dup", static_cast<int32_t>(c.ccb + CcbLayout::kDupAcks));
-    b.Set("ooo", static_cast<int32_t>(c.ccb + CcbLayout::kOoo));
-    b.Set("acc", static_cast<int32_t>(c.ccb + CcbLayout::kAccepted));
-    b.Set("head", static_cast<int32_t>(c.ring->base + RingLayout::kHead));
-    b.Set("tail", static_cast<int32_t>(c.ring->base + RingLayout::kTail));
-    b.Set("buf", static_cast<int32_t>(c.ring->base + RingLayout::kBuf));
-    const uint32_t mask = mem.Read32(c.ring->base + RingLayout::kMask);
-    b.Set("mask", static_cast<int32_t>(mask));
-    if (hot) {
-      b.Set("rsz", static_cast<int32_t>(mask + 1));  // ring size
-    }
+    inv.AddRange({c->ccb + CcbLayout::kPeer, c->ccb + CcbLayout::kPeer + 4});
   }
   SynthesisOptions opts = kernel_.config().synthesis;
   opts.live_out |= (1u << kD0) | (1u << kD1) | (1u << kD2);
-  return kernel_.SynthesizeInstall(a.Build(), b, nullptr, name, nullptr, &opts);
+  static const CodeTemplate tmpl = StreamTemplate();  // assembled once
+  return kernel_.SynthesizeInstall(tmpl, b, &inv, name, nullptr, &opts);
 }
 
 // The Specializer's install hook for the segment processor. The old block's
@@ -615,7 +461,11 @@ ConnId StreamLayer::NewConn(uint16_t local_port, uint16_t peer_port,
       return kInvalidBlock;
     }
     cc->synth_gen++;
-    return BuildSynthDeliver(*cc, tier);
+    // Bind against the demux that will actually see this port's frames (the
+    // pool steers by local-port hash, so this is the owning NIC's).
+    return EmitProcessor(pool_.demux_of(cc->local_port), cc, tier,
+                         "net_stream$" + std::to_string(cc->local_port) +
+                             "#" + std::to_string(cc->synth_gen));
   };
   sd.install = [this, id](BlockId blk, SpecTier tier, bool refused) {
     InstallDeliver(id, blk, tier, refused);

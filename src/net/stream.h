@@ -4,33 +4,28 @@
 //
 // A connection is a quaject: a connection control block (CCB) in simulated
 // memory, a byte ring the paper's synthesized channel reads drain, and a
-// per-connection *segment processor* the packet demux jumps to. Like the
-// demux itself, the processor exists twice:
+// per-connection *segment processor* the packet demux jumps to. The
+// processor is written once, as one register-indirect template, and every
+// rung of the Specializer's tier ladder (specializer.h) is that template
+// under different Bindings and InvariantMemory (Factoring Invariants):
 //
-//  * The GENERIC processor is one shared interpreted routine: it chases the
-//    flow-table entry to the CCB, reloads every connection variable through
-//    pointers, and delivers payload bytes through the generic one-call-per-
-//    byte ring put. This is the layered-kernel baseline.
+//  * kGeneric, one shared processor per NIC, binds nothing about a
+//    connection: called from the generic demux walk, it loads the CCB from
+//    the flow entry and reaches every CCB field and the ring through
+//    registers. This is the layered-kernel baseline.
+//  * kSpecialized, per connection: the CCB and ring bases are constants, so
+//    every access folds to an absolute address; the ring mask and, once the
+//    connection is established, the peer port are invariants folded to
+//    immediates; the checksum is inlined (Collapsing Layers). Before
+//    establishment only the control path is left; establishment re-emits.
+//  * kHot, earned by delivery heat, also binds the contiguity hint: a payload
+//    run that lands before the ring edge is copied word-wide, about a
+//    quarter of the byte loop's path length on bulk segments.
 //
-//  * The SYNTHESIZED processor is re-emitted per connection at establishment,
-//    when the peer becomes a connection-lifetime invariant: the peer port is
-//    a compare-with-immediate, every CCB field is an absolute address, the
-//    checksum is inlined (Collapsing Layers), and the ring geometry is folded
-//    into a bulk copy that publishes the producer index once (Factoring
-//    Invariants). Sequence/ack processing, duplicate-ack and out-of-order
-//    accounting all run at interrupt level in synthesized code.
-//
-// Both processors are rungs of the kernel-wide Specializer's tier ladder
-// (specializer.h): each connection registers a handle whose emit callback
-// re-builds the processor at a requested tier and whose install callback
-// rebinds the flow. kGeneric is the shared walk, kSpecialized the per-
-// connection processor above, and kHot a deeper re-fold earned by delivery
-// heat: when the payload run is contiguous in the ring (no wrap), the copy
-// runs word-wide instead of byte-wide — about a quarter of the per-byte
-// loop's path length on bulk segments. The adaptation sweep promotes hot
-// flows, demotes flows that go cold (releasing their blocks through deferred
-// retirement), and retries degraded ones; all the old ad-hoc resynthesis
-// entry points now route through Promote/Demote/Retire.
+// Each connection registers a handle whose emit callback binds the template
+// for a tier and whose install callback rebinds the flow. The adaptation
+// sweep promotes hot flows, demotes cold ones (releasing their blocks through
+// deferred retirement), and retries degraded ones.
 //
 // The keepalive probe send is also synthesized per connection: a stub that
 // stages the probe header from the CCB's folded sequence fields and traps to
@@ -381,7 +376,10 @@ class StreamLayer {
   ConnId NewConn(uint16_t local_port, uint16_t peer_port, uint32_t state,
                  const StreamConfig& cfg);
   void SetState(Conn& c, uint32_t state);
-  BlockId BuildSynthDeliver(const Conn& c, SpecTier tier);
+  // Installs StreamTemplate bound for one tier; null `c` = the shared
+  // generic processor on `dmx`.
+  BlockId EmitProcessor(DemuxSynthesizer& dmx, const Conn* c, SpecTier tier,
+                        const std::string& name);
   // The Specializer's install hook for the segment processor: wires the new
   // active block into the flow table and keeps the degradation gauges
   // truthful (`refused` distinguishes the ladder from a policy demotion).

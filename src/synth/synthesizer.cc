@@ -1,5 +1,6 @@
 #include "src/synth/synthesizer.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <optional>
@@ -176,16 +177,16 @@ size_t LiveTarget(const Instr& in, size_t n) {
                                                        : static_cast<size_t>(in.imm);
 }
 
-// Backward register liveness, solved by a worklist over basic blocks.
-// Returns live[0..n]: live[i] is the set live before instruction i, and
-// live[n] = live_out (falling off the end returns to the caller). The result
-// is the least fixpoint of live[i] = use[i] | (out[i] & ~def[i]).
-std::vector<uint32_t> SolveLiveness(const std::vector<Instr>& code,
-                                    const std::vector<DefUse>& dus,
-                                    uint32_t live_out) {
+// Basic blocks. Leaders are the entry, every in-range branch target, and
+// whatever follows a branch or a routine exit; block b covers
+// [begin[b], begin[b + 1]), and begin ends with the routine's length.
+struct Blocks {
+  std::vector<size_t> begin;
+  std::vector<size_t> block_of;  // per instruction; [n] = the exit
+};
+
+Blocks SplitBlocks(const std::vector<Instr>& code) {
   const size_t n = code.size();
-  // Block leaders: the entry, every in-range branch target, and whatever
-  // follows a branch or a routine exit.
   std::vector<bool> leader(n + 1, false);
   leader[0] = true;
   for (size_t i = 0; i < n; i++) {
@@ -196,23 +197,34 @@ std::vector<uint32_t> SolveLiveness(const std::vector<Instr>& code,
       leader[i + 1] = true;
     }
   }
-  std::vector<size_t> begin;        // block b covers [begin[b], begin[b + 1])
-  std::vector<size_t> block_of(n + 1, 0);
+  Blocks bl;
+  bl.block_of.resize(n + 1);
   for (size_t i = 0; i < n; i++) {
     if (leader[i]) {
-      begin.push_back(i);
+      bl.begin.push_back(i);
     }
-    block_of[i] = begin.size() - 1;
+    bl.block_of[i] = bl.begin.size() - 1;
   }
-  const size_t nb = begin.size();
-  begin.push_back(n);
-  block_of[n] = nb;  // the exit pseudo-block
+  bl.block_of[n] = bl.begin.size();
+  bl.begin.push_back(n);
+  return bl;
+}
+
+// Backward register liveness, solved by a worklist over basic blocks.
+// Returns live[0..n]: live[i] is the set live before instruction i, and
+// live[n] = live_out (falling off the end returns to the caller). The result
+// is the least fixpoint of live[i] = use[i] | (out[i] & ~def[i]).
+std::vector<uint32_t> SolveLiveness(const std::vector<Instr>& code,
+                                    const std::vector<DefUse>& dus,
+                                    uint32_t live_out) {
+  const size_t n = code.size();
+  const auto [begin, block_of] = SplitBlocks(code);
+  const size_t nb = begin.size() - 1;  // block nb is the exit
 
   // Each block's transfer function in = gen | (out & ~kill), and its
   // successors (nb = the exit, whose live-in is live_out).
   std::vector<uint32_t> gen(nb, 0), kill(nb, 0);
   std::vector<size_t> succ(2 * nb, nb + 1);  // nb + 1 = no successor
-  std::vector<std::vector<size_t>> preds(nb + 1);
   for (size_t b = 0; b < nb; b++) {
     const size_t last = begin[b + 1] - 1;
     for (size_t i = last + 1; i-- > begin[b];) {
@@ -233,10 +245,22 @@ std::vector<uint32_t> SolveLiveness(const std::vector<Instr>& code,
         succ[2 * b + 1] = block_of[last + 1];
       }
     }
-    for (size_t k = 2 * b; k < 2 * b + 2; k++) {
-      if (succ[k] <= nb) {
-        preds[succ[k]].push_back(b);
-      }
+  }
+  // Predecessor lists in one array: block b's are
+  // pred[first_pred[b] .. first_pred[b + 1]).
+  std::vector<size_t> first_pred(nb + 2, 0), pred(2 * nb);
+  for (size_t t : succ) {
+    if (t <= nb) {
+      first_pred[t + 1]++;
+    }
+  }
+  for (size_t b = 0; b <= nb; b++) {
+    first_pred[b + 1] += first_pred[b];
+  }
+  std::vector<size_t> fill(first_pred.begin(), first_pred.end() - 1);
+  for (size_t k = 0; k < 2 * nb; k++) {
+    if (succ[k] <= nb) {
+      pred[fill[succ[k]]++] = k / 2;
     }
   }
 
@@ -266,7 +290,8 @@ std::vector<uint32_t> SolveLiveness(const std::vector<Instr>& code,
       continue;
     }
     live_in[b] = in;
-    for (size_t p : preds[b]) {
+    for (size_t i = first_pred[b]; i < first_pred[b + 1]; i++) {
+      const size_t p = pred[i];
       if (!queued[p]) {
         queued[p] = true;
         work.push_back(p);
@@ -413,17 +438,39 @@ size_t DeleteInstrs(std::vector<Instr>& code, const std::vector<bool>& keep) {
 
 // --- Constant propagation / folding ------------------------------------------
 
+// What is known at one program point: each register's constant value, if
+// any, and the operands of the last compare.
 struct AbsState {
-  std::optional<uint32_t> regs[kNumRegisters];
+  uint32_t known = 0;  // bit r: regs[r] holds a known value
+  uint32_t regs[kNumRegisters] = {};
   std::optional<std::pair<uint32_t, uint32_t>> cc;
 
+  std::optional<uint32_t> Get(uint8_t r) const {
+    return (known >> r & 1) != 0 ? std::optional<uint32_t>(regs[r]) : std::nullopt;
+  }
+  void Set(uint8_t r, std::optional<uint32_t> v) {
+    known = v ? known | 1u << r : known & ~(1u << r);
+    regs[r] = v.value_or(0);
+  }
   void Reset() {
-    for (auto& r : regs) {
-      r.reset();
-    }
+    known = 0;
     cc.reset();
   }
-  void ClobberAll() { Reset(); }
+  // The meet at a join point: keep only what every incoming path agrees on.
+  // Returns true when something was forgotten.
+  bool MeetWith(const AbsState& o) {
+    const uint32_t was = known;
+    for (uint8_t r = 0; r < kNumRegisters; r++) {
+      if (Get(r) != o.Get(r)) {
+        known &= ~(1u << r);
+      }
+    }
+    const bool cc_lost = cc && cc != o.cc;
+    if (cc_lost) {
+      cc.reset();
+    }
+    return known != was || cc_lost;
+  }
 };
 
 std::optional<bool> EvalCond(Opcode op, uint32_t lhs, uint32_t rhs) {
@@ -449,6 +496,347 @@ std::optional<bool> EvalCond(Opcode op, uint32_t lhs, uint32_t rhs) {
     default:
       return std::nullopt;
   }
+}
+
+// rd op= b for the two-operand ALU instructions and their immediate forms.
+uint32_t EvalAlu(Opcode op, uint32_t a, uint32_t b) {
+  switch (op) {
+    case Opcode::kAdd:
+    case Opcode::kAddI:
+      return a + b;
+    case Opcode::kSub:
+    case Opcode::kSubI:
+      return a - b;
+    case Opcode::kMulI:
+      return a * b;
+    case Opcode::kAnd:
+    case Opcode::kAndI:
+      return a & b;
+    case Opcode::kOr:
+    case Opcode::kOrI:
+      return a | b;
+    case Opcode::kXor:
+      return a ^ b;
+    case Opcode::kLslI:
+      return a << (b & 31);
+    default:
+      return a >> (b & 31);  // kLsrI
+  }
+}
+
+// Rewrites `in` under what is known before it and advances `s` past it:
+// constant results become kMoveI, a known base folds into an absolute address
+// or an invariant immediate, a known source operand becomes an immediate, and
+// a decided branch becomes kBra or kNop. Returns true when `in` changed. A
+// rewrite leaves the same knowledge behind as the original instruction.
+bool Step(Instr& in, AbsState& s, const InvariantMemory* invariants,
+          const SynthesisOptions& options, const CodeStore& store,
+          SynthesisStats& st) {
+  bool changed = false;
+  const uint32_t immu = static_cast<uint32_t>(in.imm);
+  auto fold_to_movei = [&](uint32_t value) {
+    in.op = Opcode::kMoveI;
+    in.rs = 0;
+    in.imm = static_cast<int32_t>(value);
+    s.Set(in.rd, value);
+    changed = true;
+  };
+  auto to_immediate = [&](Opcode op, uint32_t value) {  // drops the rs operand
+    in.op = op;
+    in.imm = static_cast<int32_t>(value);
+    in.rs = 0;
+    changed = true;
+  };
+  auto to_absolute = [&](Opcode op, uint32_t base) {
+    in.op = op;
+    in.imm = static_cast<int32_t>(base + immu);
+    changed = true;
+  };
+  // Folds a load of `len` bytes at `addr` when the memory is invariant.
+  auto fold_invariant = [&](Addr addr, size_t len) {
+    if (!options.fold_invariant_loads || invariants == nullptr ||
+        !invariants->Covers(addr, len)) {
+      return false;
+    }
+    fold_to_movei(invariants->Read(addr, len));
+    st.folded_loads++;
+    return true;
+  };
+  switch (in.op) {
+    case Opcode::kMoveI:
+      s.Set(in.rd, immu);
+      break;
+    case Opcode::kMove:
+    case Opcode::kLea:
+      if (s.Get(in.rs)) {
+        fold_to_movei(*s.Get(in.rs) + (in.op == Opcode::kLea ? immu : 0));
+      } else {
+        s.Set(in.rd, std::nullopt);
+      }
+      break;
+    case Opcode::kLoad8:
+    case Opcode::kLoad16:
+    case Opcode::kLoad32: {
+      const size_t len = in.op == Opcode::kLoad8 ? 1 : in.op == Opcode::kLoad16 ? 2 : 4;
+      const std::optional<uint32_t> base = s.Get(in.rs);
+      s.Set(in.rd, std::nullopt);
+      if (base && !fold_invariant(*base + immu, len)) {
+        // Absolute-ification: fold the known base into the instruction
+        // (68020 absolute-long mode), freeing the base register.
+        in.rs = 0;
+        to_absolute(len == 1 ? Opcode::kLoadA8 : len == 2 ? Opcode::kLoadA16
+                                                          : Opcode::kLoadA32,
+                    *base);
+      }
+      break;
+    }
+    case Opcode::kLoadA8:
+    case Opcode::kLoadA16:
+    case Opcode::kLoadA32: {
+      const size_t len = in.op == Opcode::kLoadA8 ? 1 : in.op == Opcode::kLoadA16 ? 2 : 4;
+      if (!fold_invariant(static_cast<Addr>(in.imm), len)) {
+        s.Set(in.rd, std::nullopt);
+      }
+      break;
+    }
+    case Opcode::kLoadIdx32:
+      if (s.Get(in.rs)) {
+        // Re-processed as kLoadA32 next pass (may fold to an immediate).
+        const uint32_t idx = *s.Get(in.rs);
+        in.rs = 0;
+        to_absolute(Opcode::kLoadA32, idx * 4);
+      }
+      s.Set(in.rd, std::nullopt);
+      break;
+    case Opcode::kStore8:
+    case Opcode::kStore16:
+    case Opcode::kStore32:
+      if (s.Get(in.rd)) {
+        const uint32_t base = *s.Get(in.rd);
+        in.rd = 0;
+        to_absolute(in.op == Opcode::kStore8    ? Opcode::kStoreA8
+                    : in.op == Opcode::kStore16 ? Opcode::kStoreA16
+                                                : Opcode::kStoreA32,
+                    base);
+      }
+      break;
+    case Opcode::kStoreIdx32:
+      if (s.Get(in.rs)) {
+        const uint32_t idx = *s.Get(in.rs);
+        in.rs = in.rd;  // kStoreA32 takes its value from rs
+        in.rd = 0;
+        to_absolute(Opcode::kStoreA32, idx * 4);
+      }
+      break;
+    case Opcode::kPush:
+      if (s.Get(kA7)) {
+        s.Set(kA7, *s.Get(kA7) - 4);
+      }
+      break;
+    case Opcode::kPop:
+      s.Set(in.rd, std::nullopt);
+      if (s.Get(kA7)) {
+        s.Set(kA7, *s.Get(kA7) + 4);
+      }
+      break;
+    case Opcode::kAdd:
+    case Opcode::kSub:
+    case Opcode::kAnd:
+    case Opcode::kOr:
+    case Opcode::kXor:
+      if (s.Get(in.rd) && s.Get(in.rs)) {
+        fold_to_movei(EvalAlu(in.op, *s.Get(in.rd), *s.Get(in.rs)));
+        break;
+      }
+      if (s.Get(in.rs) && in.op != Opcode::kOr && in.op != Opcode::kXor) {
+        to_immediate(in.op == Opcode::kAdd   ? Opcode::kAddI
+                     : in.op == Opcode::kSub ? Opcode::kSubI
+                                             : Opcode::kAndI,
+                     *s.Get(in.rs));
+      } else if (s.Get(in.rd) && in.op == Opcode::kAdd) {
+        // rd = K + rs: one effective-address computation.
+        in.op = Opcode::kLea;
+        in.imm = static_cast<int32_t>(*s.Get(in.rd));
+        changed = true;
+      }
+      s.Set(in.rd, std::nullopt);
+      break;
+    case Opcode::kAddI:
+    case Opcode::kSubI:
+    case Opcode::kMulI:
+    case Opcode::kAndI:
+    case Opcode::kOrI:
+    case Opcode::kLslI:
+    case Opcode::kLsrI:
+      if (s.Get(in.rd)) {
+        fold_to_movei(EvalAlu(in.op, *s.Get(in.rd), immu));
+      }
+      break;
+    case Opcode::kCmp:
+      s.cc = s.Get(in.rd) && s.Get(in.rs)
+                 ? std::make_optional(std::make_pair(*s.Get(in.rd), *s.Get(in.rs)))
+                 : std::nullopt;
+      if (s.Get(in.rs)) {
+        to_immediate(Opcode::kCmpI, *s.Get(in.rs));
+      }
+      break;
+    case Opcode::kCmpI:
+    case Opcode::kTst:
+      s.cc = s.Get(in.rd) ? std::make_optional(std::make_pair(
+                            *s.Get(in.rd), in.op == Opcode::kTst ? 0u : immu))
+                      : std::nullopt;
+      break;
+    case Opcode::kBeq:
+    case Opcode::kBne:
+    case Opcode::kBlt:
+    case Opcode::kBge:
+    case Opcode::kBgt:
+    case Opcode::kBle:
+    case Opcode::kBhi:
+    case Opcode::kBls:
+      if (options.fold_branches && s.cc) {
+        if (auto taken = EvalCond(in.op, s.cc->first, s.cc->second)) {
+          if (*taken) {
+            in.op = Opcode::kBra;
+          } else {
+            in.op = Opcode::kNop;
+            in.imm = 0;
+          }
+          st.folded_branches++;
+          changed = true;
+        }
+      }
+      break;
+    case Opcode::kJsrInd:
+      // Only rewrite when the target is a real block; patch slots hold
+      // placeholder values that must survive synthesis.
+      if (s.Get(in.rs) && store.Valid(static_cast<BlockId>(*s.Get(in.rs)))) {
+        to_immediate(Opcode::kJsr, *s.Get(in.rs));
+      }
+      s.Reset();
+      break;
+    case Opcode::kBra:  // what follows is reached only through a join
+    case Opcode::kJsr:
+    case Opcode::kTrap:
+    case Opcode::kJmpInd:
+    case Opcode::kRts:
+    case Opcode::kHalt:
+      s.Reset();
+      break;
+    case Opcode::kCas:
+      if (s.Get(in.rs)) {
+        const uint32_t base = *s.Get(in.rs);
+        in.rs = 0;
+        to_absolute(Opcode::kCasA, base);
+      }
+      [[fallthrough]];
+    case Opcode::kCasA:
+      s.Set(kD0, std::nullopt);
+      s.cc.reset();
+      break;
+    case Opcode::kMovemLoad:
+      for (int i = 0; i < in.imm && i < 16; i++) {
+        s.Set(i, std::nullopt);
+      }
+      break;
+    default:  // stores to absolute addresses, kMovemSave, kSetVbr, kCharge, kNop
+      break;
+  }
+  return changed;
+}
+
+// One constant-propagation pass. Knowledge crosses join points: each block
+// starts from the meet of what its predecessors leave behind (a constant
+// survives a join when every incoming path agrees on it), and a branch the
+// pass decides keeps only the edge it takes, so code behind it is never
+// visited. Blocks are walked in layout order. A block outside every loop
+// region (the union of each back edge's [target, source] block range) has
+// all its predecessors behind it, so it is rewritten on its only visit; a
+// loop region is iterated to its fixpoint first — an entry state only ever
+// loses facts — and then rewritten under the settled states.
+bool PropagateConstants(std::vector<Instr>& code, const InvariantMemory* invariants,
+                        const SynthesisOptions& options, const CodeStore& store,
+                        SynthesisStats& st) {
+  const size_t n = code.size();
+  const auto [begin, block_of] = SplitBlocks(code);
+  const size_t nb = begin.size() - 1;
+  // loop_end[h] > 0: block h is a back-edge target, from blocks before
+  // loop_end[h].
+  std::vector<size_t> loop_end(nb, 0);
+  for (size_t b = 0; b < nb; b++) {
+    const size_t h = block_of[LiveTarget(code[begin[b + 1] - 1], n)];
+    if (IsBranch(code[begin[b + 1] - 1].op) && h <= b) {
+      loop_end[h] = std::max(loop_end[h], b + 1);
+    }
+  }
+
+  // Entry states; an unset one has not been reached (yet).
+  std::vector<std::optional<AbsState>> entry(nb);
+  std::vector<bool> pending(nb, false);
+  auto flow_into = [&](size_t target, const AbsState& s) {
+    if (target >= n) {
+      return;  // leaves the routine
+    }
+    std::optional<AbsState>& e = entry[block_of[target]];
+    if (!e) {
+      e = s;
+    } else if (!e->MeetWith(s)) {
+      return;
+    }
+    pending[block_of[target]] = true;
+  };
+  // Runs block b from its entry state and flows into its successors;
+  // `rewrite` applies the rewrites, otherwise they are only evaluated.
+  SynthesisStats scratch_stats;
+  bool changed = false;
+  auto visit = [&](size_t b, bool rewrite) {
+    pending[b] = false;
+    AbsState s = *entry[b], before;
+    Instr last;
+    for (size_t i = begin[b]; i < begin[b + 1]; i++) {
+      if (i + 1 == begin[b + 1]) {
+        before = s;  // what a taken branch carries to its target
+      }
+      last = code[i];
+      Instr scratch = last;
+      Instr& in = rewrite ? code[i] : scratch;
+      changed |= Step(in, s, invariants, options, store,
+                      rewrite ? st : scratch_stats) &&
+                 rewrite;
+      last.op = in.op;  // a decided branch keeps only the edge it takes
+    }
+    if (IsBranch(last.op) && last.imm >= 0) {
+      flow_into(static_cast<size_t>(last.imm), before);
+    }
+    if (!EndsRoutine(last.op) && last.op != Opcode::kBra) {
+      flow_into(begin[b + 1], s);
+    }
+  };
+  flow_into(0, AbsState());
+  for (size_t lo = 0; lo < nb;) {
+    size_t hi = lo + 1;  // blocks [lo, hi) settle together
+    for (size_t x = lo; x < hi; x++) {
+      hi = std::max(hi, loop_end[x]);
+    }
+    if (loop_end[lo] > 0) {
+      for (bool again = true; again;) {
+        again = false;
+        for (size_t x = lo; x < hi; x++) {
+          if (pending[x]) {
+            visit(x, false);
+            again = true;
+          }
+        }
+      }
+    }
+    for (size_t x = lo; x < hi; x++) {
+      if (entry[x]) {
+        visit(x, true);  // unreached blocks are removed by the next pass
+      }
+    }
+    lo = hi;
+  }
+  return changed;
 }
 
 }  // namespace
@@ -491,273 +879,9 @@ CodeBlock Synthesizer::Specialize(const CodeTemplate& tmpl, const Bindings& bind
     }
 
     // --- Constant propagation, invariant-load folding, branch folding ---------
-    if (options.constant_fold) {
-      std::vector<bool> is_target(code.size(), false);
-      for (const Instr& in : code) {
-        if (IsBranch(in.op) && in.imm >= 0 &&
-            static_cast<size_t>(in.imm) < code.size()) {
-          is_target[static_cast<size_t>(in.imm)] = true;
-        }
-      }
-      AbsState s;
-      for (size_t i = 0; i < code.size(); i++) {
-        if (is_target[i]) {
-          s.Reset();  // conservative merge at join points
-        }
-        Instr& in = code[i];
-        auto known = [&](uint8_t r) { return s.regs[r]; };
-        auto fold_to_movei = [&](uint8_t rd, uint32_t value) {
-          if (in.op != Opcode::kMoveI || in.imm != static_cast<int32_t>(value)) {
-            changed = true;
-          }
-          in.op = Opcode::kMoveI;
-          in.rd = rd;
-          in.rs = 0;
-          in.imm = static_cast<int32_t>(value);
-          s.regs[rd] = value;
-        };
-        switch (in.op) {
-          case Opcode::kMoveI:
-            s.regs[in.rd] = static_cast<uint32_t>(in.imm);
-            break;
-          case Opcode::kMove:
-            if (auto v = known(in.rs)) {
-              fold_to_movei(in.rd, *v);
-            } else {
-              s.regs[in.rd].reset();
-            }
-            break;
-          case Opcode::kLea:
-            if (auto v = known(in.rs)) {
-              fold_to_movei(in.rd, *v + static_cast<uint32_t>(in.imm));
-            } else {
-              s.regs[in.rd].reset();
-            }
-            break;
-          case Opcode::kLoad8:
-          case Opcode::kLoad16:
-          case Opcode::kLoad32: {
-            size_t len = in.op == Opcode::kLoad8 ? 1 : in.op == Opcode::kLoad16 ? 2 : 4;
-            auto base = known(in.rs);
-            if (base && options.fold_invariant_loads && invariants &&
-                invariants->Covers(*base + static_cast<uint32_t>(in.imm), len)) {
-              uint32_t v = invariants->Read(*base + static_cast<uint32_t>(in.imm), len);
-              fold_to_movei(in.rd, v);
-              st.folded_loads++;
-            } else if (base && options.constant_fold) {
-              // Absolute-ification: fold the known base into the instruction
-              // (68020 absolute-long mode), freeing the base register.
-              in.op = in.op == Opcode::kLoad8    ? Opcode::kLoadA8
-                      : in.op == Opcode::kLoad16 ? Opcode::kLoadA16
-                                                 : Opcode::kLoadA32;
-              in.imm = static_cast<int32_t>(*base + static_cast<uint32_t>(in.imm));
-              in.rs = 0;
-              s.regs[in.rd].reset();
-              changed = true;
-            } else {
-              s.regs[in.rd].reset();
-            }
-            break;
-          }
-          case Opcode::kLoadA8:
-          case Opcode::kLoadA16:
-          case Opcode::kLoadA32: {
-            size_t len = in.op == Opcode::kLoadA8 ? 1 : in.op == Opcode::kLoadA16 ? 2 : 4;
-            Addr addr = static_cast<Addr>(in.imm);
-            if (options.fold_invariant_loads && invariants &&
-                invariants->Covers(addr, len)) {
-              fold_to_movei(in.rd, invariants->Read(addr, len));
-              st.folded_loads++;
-            } else {
-              s.regs[in.rd].reset();
-            }
-            break;
-          }
-          case Opcode::kLoadIdx32:
-            if (auto idx = known(in.rs)) {
-              in.op = Opcode::kLoadA32;
-              in.imm = static_cast<int32_t>(static_cast<uint32_t>(in.imm) + *idx * 4);
-              in.rs = 0;
-              changed = true;
-              // Re-processed as kLoadA32 next pass (may fold to an immediate).
-            }
-            s.regs[in.rd].reset();
-            break;
-          case Opcode::kStore8:
-          case Opcode::kStore16:
-          case Opcode::kStore32:
-            if (auto base = known(in.rd); base && options.constant_fold) {
-              in.op = in.op == Opcode::kStore8    ? Opcode::kStoreA8
-                      : in.op == Opcode::kStore16 ? Opcode::kStoreA16
-                                                  : Opcode::kStoreA32;
-              in.imm = static_cast<int32_t>(*base + static_cast<uint32_t>(in.imm));
-              in.rd = 0;
-              changed = true;
-            }
-            break;
-          case Opcode::kStoreIdx32:
-            if (auto idx = known(in.rs)) {
-              in.op = Opcode::kStoreA32;
-              in.imm = static_cast<int32_t>(static_cast<uint32_t>(in.imm) + *idx * 4);
-              // kStoreA32 takes its value from rs.
-              in.rs = in.rd;
-              in.rd = 0;
-              changed = true;
-            }
-            break;
-          case Opcode::kStoreA8:
-          case Opcode::kStoreA16:
-          case Opcode::kStoreA32:
-          case Opcode::kMovemSave:
-          case Opcode::kSetVbr:
-          case Opcode::kCharge:
-          case Opcode::kNop:
-            break;
-          case Opcode::kPush:
-            s.regs[kA7] = known(kA7) ? std::optional<uint32_t>(*known(kA7) - 4)
-                                     : std::nullopt;
-            break;
-          case Opcode::kPop:
-            s.regs[in.rd].reset();
-            s.regs[kA7] = known(kA7) ? std::optional<uint32_t>(*known(kA7) + 4)
-                                     : std::nullopt;
-            break;
-          case Opcode::kAdd:
-          case Opcode::kSub:
-          case Opcode::kAnd:
-          case Opcode::kOr:
-          case Opcode::kXor: {
-            auto a = known(in.rd);
-            auto b = known(in.rs);
-            if (a && b) {
-              uint32_t v = in.op == Opcode::kAdd   ? *a + *b
-                           : in.op == Opcode::kSub ? *a - *b
-                           : in.op == Opcode::kAnd ? (*a & *b)
-                           : in.op == Opcode::kOr  ? (*a | *b)
-                                                   : (*a ^ *b);
-              fold_to_movei(in.rd, v);
-            } else {
-              s.regs[in.rd].reset();
-            }
-            break;
-          }
-          case Opcode::kAddI:
-          case Opcode::kSubI:
-          case Opcode::kMulI:
-          case Opcode::kAndI:
-          case Opcode::kOrI:
-          case Opcode::kLslI:
-          case Opcode::kLsrI: {
-            auto a = known(in.rd);
-            uint32_t immu = static_cast<uint32_t>(in.imm);
-            if (a) {
-              uint32_t v = in.op == Opcode::kAddI   ? *a + immu
-                           : in.op == Opcode::kSubI ? *a - immu
-                           : in.op == Opcode::kMulI ? *a * immu
-                           : in.op == Opcode::kAndI ? (*a & immu)
-                           : in.op == Opcode::kOrI  ? (*a | immu)
-                           : in.op == Opcode::kLslI ? (*a << (in.imm & 31))
-                                                    : (*a >> (in.imm & 31));
-              fold_to_movei(in.rd, v);
-            } else {
-              s.regs[in.rd].reset();
-            }
-            break;
-          }
-          case Opcode::kCmp:
-            if (known(in.rd) && known(in.rs)) {
-              s.cc = std::make_pair(*known(in.rd), *known(in.rs));
-            } else {
-              s.cc.reset();
-            }
-            break;
-          case Opcode::kCmpI:
-            if (known(in.rd)) {
-              s.cc = std::make_pair(*known(in.rd), static_cast<uint32_t>(in.imm));
-            } else {
-              s.cc.reset();
-            }
-            break;
-          case Opcode::kTst:
-            if (known(in.rd)) {
-              s.cc = std::make_pair(*known(in.rd), 0u);
-            } else {
-              s.cc.reset();
-            }
-            break;
-          case Opcode::kBeq:
-          case Opcode::kBne:
-          case Opcode::kBlt:
-          case Opcode::kBge:
-          case Opcode::kBgt:
-          case Opcode::kBle:
-          case Opcode::kBhi:
-          case Opcode::kBls:
-            if (options.fold_branches && s.cc) {
-              auto taken = EvalCond(in.op, s.cc->first, s.cc->second);
-              if (taken.has_value()) {
-                if (*taken) {
-                  in.op = Opcode::kBra;
-                } else {
-                  in.op = Opcode::kNop;
-                  in.imm = 0;
-                }
-                st.folded_branches++;
-                changed = true;
-              }
-            }
-            break;
-          case Opcode::kBra:
-            // Code after an unconditional branch is unreachable until the next
-            // branch target; reset so stale knowledge cannot leak there.
-            s.Reset();
-            break;
-          case Opcode::kJsrInd:
-            // Only rewrite when the target is a real block; patch slots hold
-            // placeholder values that must survive synthesis.
-            if (auto v = known(in.rs);
-                v && store_->Valid(static_cast<BlockId>(*v))) {
-              in.op = Opcode::kJsr;
-              in.imm = static_cast<int32_t>(*v);
-              in.rs = 0;
-              changed = true;
-            }
-            s.ClobberAll();
-            break;
-          case Opcode::kJsr:
-          case Opcode::kTrap:
-            s.ClobberAll();
-            break;
-          case Opcode::kJmpInd:
-          case Opcode::kRts:
-          case Opcode::kHalt:
-            s.Reset();
-            break;
-          case Opcode::kCas:
-            if (auto base = known(in.rs); base && options.constant_fold) {
-              in.op = Opcode::kCasA;
-              in.imm = static_cast<int32_t>(*base + static_cast<uint32_t>(in.imm));
-              in.rs = 0;
-              changed = true;
-            }
-            s.regs[kD0].reset();
-            s.cc.reset();
-            break;
-          case Opcode::kCasA:
-            s.regs[kD0].reset();
-            s.cc.reset();
-            break;
-          case Opcode::kMovemLoad: {
-            int count = in.imm > 16 ? 16 : in.imm;
-            for (int r = 0; r < count; r++) {
-              s.regs[r].reset();
-            }
-            break;
-          }
-          case Opcode::kNumOpcodes:
-            break;
-        }
-      }
+    if (options.constant_fold &&
+        PropagateConstants(code, invariants, options, *store_, st)) {
+      changed = true;
     }
 
     // --- Unreachable-code removal ----------------------------------------------
@@ -793,7 +917,12 @@ CodeBlock Synthesizer::Specialize(const CodeTemplate& tmpl, const Bindings& bind
     }
 
     // --- Dead-code elimination ----------------------------------------------------
-    if (options.dead_code_elim && !code.empty()) {
+    // Repeated while a deleted instruction read a register: that can kill
+    // the def it read (a bound hole's kMoveI feeding a folded test), which
+    // would otherwise take a whole further pass to notice. Deleting a dead
+    // instruction that reads nothing changes no liveness.
+    for (bool again = options.dead_code_elim; again && !code.empty();) {
+      again = false;
       const size_t n = code.size();
       std::vector<DefUse> dus(n);
       for (size_t idx = 0; idx < n; idx++) {
@@ -809,12 +938,11 @@ CodeBlock Synthesizer::Specialize(const CodeTemplate& tmpl, const Bindings& bind
         const Instr& in = code[idx];
         const DefUse& du = dus[idx];
         uint32_t out_live = live[idx + 1];
-        if (du.removable && in.op != Opcode::kNop && (du.def & out_live) == 0) {
+        if (in.op == Opcode::kNop ||
+            (du.removable && (du.def & out_live) == 0)) {
           keep[idx] = false;
           any = true;
-        } else if (in.op == Opcode::kNop) {
-          keep[idx] = false;
-          any = true;
+          again |= du.use != 0;
         }
       }
       if (any) {

@@ -10,8 +10,10 @@
 //    switch table) are folded to immediates read from live simulated memory.
 //  * Collapsing Layers — kJsr calls (and kJsrInd calls whose target becomes
 //    known) are inlined, eliminating procedure-call layering.
-//  * plus classic cleanups: constant propagation/folding, branch folding with
-//    unreachable-code removal, dead-code elimination, and peephole rules.
+//  * plus classic cleanups: constant propagation/folding (across joins where
+//    every path agrees, known source operands becoming immediates), branch
+//    folding with unreachable-code removal, dead-code elimination, and
+//    peephole rules.
 //
 // The output is a shorter concrete program; the speedups measured by the
 // benchmarks are the path-length difference between template and output.

@@ -7,6 +7,7 @@
 #include <cstring>
 #include <iterator>
 #include <memory>
+#include <random>
 #include <string>
 #include <vector>
 
@@ -302,6 +303,90 @@ TEST(NicPoolTest, PinnedConnectionRoutesToPinNicUnderBothSteerings) {
           << "the pin NIC must have seen the client-bound frames";
     }
   }
+}
+
+// The pool's port index against a brute-force oracle: a few hundred pinned
+// and hashed flows bound and unbound in random order. Owner, route and
+// membership must match a linear scan of what is bound, and the running pin
+// count must match the pin table's fill.
+TEST(NicPoolTest, PortIndexMatchesBruteForceOracleUnderRandomChurn) {
+  Kernel k;
+  IoSystem io(k, nullptr);
+  NicPoolConfig pc;
+  pc.initial_nics = 4;
+  NicPool pool(k, pc);
+  std::mt19937 rng(20261019);
+  struct Bound {
+    uint16_t port;
+    bool pinned;
+    uint16_t peer;
+    uint32_t owner;
+  };
+  std::vector<Bound> oracle;
+  uint32_t pins = 0;
+  auto find = [&](uint16_t port) -> const Bound* {
+    for (const Bound& b : oracle) {
+      if (b.port == port) {
+        return &b;
+      }
+    }
+    return nullptr;
+  };
+  auto check = [&](uint16_t port, uint16_t src) {
+    const Bound* b = find(port);
+    ASSERT_EQ(pool.HasFlow(port), b != nullptr) << "port " << port;
+    ASSERT_EQ(pool.OwnerOf(port), b != nullptr ? b->owner : pool.SteerOf(port))
+        << "port " << port;
+    const bool pinned_route = b != nullptr && (!b->pinned || b->peer == src);
+    ASSERT_EQ(pool.RouteOf(port, src),
+              pinned_route ? b->owner : pool.SteerOf(port))
+        << "port " << port << " from " << src;
+  };
+  auto random_port = [&] { return static_cast<uint16_t>(1000 + rng() % 4000); };
+
+  for (int op = 0; op < 600; op++) {
+    const bool bind =
+        oracle.empty() || (oracle.size() < 300 && rng() % 3 != 0);
+    if (bind) {
+      uint16_t port = random_port();
+      while (find(port) != nullptr) {
+        port = random_port();
+      }
+      FlowSpec spec = FlowSpec::Ring(port, io.MakeRing(256));
+      spec.pin = rng() % 3 == 0;
+      spec.pin_peer = static_cast<uint16_t>(2000 + rng() % 64);
+      ASSERT_EQ(pool.CanPin(), pins < NicPool::kMaxPins);
+      const bool pinned = spec.pin && pins < NicPool::kMaxPins;
+      ASSERT_TRUE(pool.BindFlow(spec)) << "port " << port;
+      oracle.push_back({port, pinned, spec.pin_peer,
+                        pinned ? pool.PinSteerOf(port, spec.pin_peer)
+                               : pool.SteerOf(port)});
+      pins += pinned ? 1 : 0;
+    } else {
+      const size_t i = rng() % oracle.size();
+      ASSERT_TRUE(pool.UnbindFlow(oracle[i].port));
+      ASSERT_FALSE(pool.UnbindFlow(oracle[i].port)) << "unbound twice";
+      pins -= oracle[i].pinned ? 1 : 0;
+      oracle.erase(oracle.begin() + static_cast<long>(i));
+    }
+    // A sample every step, every bound flow (from its peer and a stranger)
+    // every 50 steps; unbound ports fall back to the hash.
+    for (int j = 0; j < 8; j++) {
+      if (!oracle.empty()) {
+        const Bound& b = oracle[rng() % oracle.size()];
+        check(b.port, b.peer);
+      }
+      check(random_port(), 7);
+    }
+    if (op % 50 == 49) {
+      for (const Bound& b : oracle) {
+        check(b.port, b.peer);
+        check(b.port, static_cast<uint16_t>(b.peer + 1));
+      }
+    }
+  }
+  EXPECT_GT(pins, 0u);
+  EXPECT_GT(oracle.size(), 100u);
 }
 
 // Overload armor: RX queue depth past the high watermark swaps the

@@ -160,9 +160,7 @@ class StreamTest : public ::testing::Test {
     std::memcpy(p.data() + StreamSeg::kSeq, &seq, 4);
     std::memcpy(p.data() + StreamSeg::kAck, &ack, 4);
     std::memcpy(p.data() + StreamSeg::kFlags, &flags, 4);
-    if (!data.empty()) {
-      std::memcpy(p.data() + StreamSeg::kHdrBytes, data.data(), data.size());
-    }
+    std::copy(data.begin(), data.end(), p.begin() + StreamSeg::kHdrBytes);
     uint32_t n = static_cast<uint32_t>(p.size());
     nic_.InjectRaw(dst, src, p.data(), n, FrameChecksum(dst, src, p.data(), n),
                    n);
@@ -214,6 +212,77 @@ TEST_F(StreamTest, HandshakeEstablishesBothSidesAndResynthesizes) {
   EXPECT_EQ(mem.Read32(st_.CcbOf(srv) + CcbLayout::kRcvNxt), 1u);
   EXPECT_EQ(mem.Read32(st_.CcbOf(cli) + CcbLayout::kRcvNxt), 1u);
   EXPECT_EQ(mem.Read32(st_.CcbOf(cli) + CcbLayout::kSndUna), 1u);
+}
+
+// Every tier is the one segment-processor template under different bindings;
+// the installed blocks show what each binding folded.
+TEST_F(StreamTest, TierBindingsFoldCcbPeerAndRingMaskOutOfTheProcessor) {
+  ConnId srv = st_.Listen(80);
+  ASSERT_NE(srv, kBadConn);
+  const CodeBlock pre = k_.code().Get(st_.SynthDeliverOf(srv));
+  ConnId cli = st_.Connect(80);
+  ASSERT_NE(cli, kBadConn);
+  k_.Run();
+  ASSERT_EQ(st_.StateOf(srv), CcbLayout::kEstablished);
+  const CodeBlock spec = k_.code().Get(st_.SynthDeliverOf(srv));
+  ASSERT_TRUE(k_.spec().Promote(st_.SpecOf(srv), SpecTier::kHot));
+  const CodeBlock hot = k_.code().Get(st_.SynthDeliverOf(srv));
+  const CodeBlock& generic = k_.code().Get(st_.generic_processor());
+
+  const Addr peer_word = st_.CcbOf(srv) + CcbLayout::kPeer;
+  const Addr mask_word = st_.RingOf(srv)->base + RingLayout::kMask;
+  const uint32_t peer = k_.machine().memory().Read32(peer_word);
+  const uint32_t mask = k_.machine().memory().Read32(mask_word);
+  auto count = [](const CodeBlock& b, auto pred) {
+    return std::count_if(b.code.begin(), b.code.end(), pred);
+  };
+  auto reads = [&](const CodeBlock& b, Addr addr) {
+    return count(b, [&](const Instr& in) {
+      return in.op == Opcode::kLoadA32 && static_cast<Addr>(in.imm) == addr;
+    });
+  };
+  auto through_a5 = [&](const CodeBlock& b) {
+    return count(b, [](const Instr& in) { return in.rd == kA5 || in.rs == kA5; });
+  };
+  // A word-wide store into the ring's data area: a 32-bit store that is not
+  // a CCB field (through a5, or absolute once folded) and not the ring's
+  // header words (through a4 below kBuf, or absolute once folded).
+  auto ring_word_stores = [&](const CodeBlock& b) {
+    return count(b, [](const Instr& in) {
+      return in.op == Opcode::kStore32 && in.rd != kA5 &&
+             !(in.rd == kA4 && in.imm < static_cast<int32_t>(RingLayout::kBuf));
+    });
+  };
+
+  // Established, specialized: the peer port and the ring mask are
+  // immediates, and the CCB pointer is gone from the code.
+  EXPECT_EQ(reads(spec, peer_word), 0);
+  EXPECT_EQ(reads(spec, mask_word), 0);
+  EXPECT_EQ(through_a5(spec), 0);
+  EXPECT_GT(count(spec, [&](const Instr& in) {
+              return in.op == Opcode::kCmpI && static_cast<uint32_t>(in.imm) == peer;
+            }), 0);
+  EXPECT_GT(count(spec, [&](const Instr& in) {
+              return in.op == Opcode::kAndI && static_cast<uint32_t>(in.imm) == mask;
+            }), 0);
+  EXPECT_EQ(reads(hot, peer_word), 0);
+  EXPECT_EQ(reads(hot, mask_word), 0);
+  EXPECT_EQ(through_a5(hot), 0);
+  // The generic processor folds nothing: it reaches the CCB through a5.
+  EXPECT_GT(through_a5(generic), 0);
+
+  // Only the contiguity hint keeps the word-wide copy.
+  EXPECT_GT(ring_word_stores(hot), 0);
+  EXPECT_EQ(ring_word_stores(spec), 0);
+  EXPECT_EQ(ring_word_stores(pre), 0);
+  EXPECT_EQ(ring_word_stores(generic), 0);
+
+  // Before establishment only the control path is left: no longer than the
+  // 44-instruction block the hand-written emitter produced for this state,
+  // and well short of the established processor.
+  EXPECT_LE(pre.code.size(), 44u);
+  EXPECT_LT(pre.code.size(), spec.code.size());
+  EXPECT_EQ(through_a5(pre), 0);
 }
 
 TEST_F(StreamTest, TransferAndBidirectionalCloseReachDone) {

@@ -537,10 +537,14 @@ INSTANTIATE_TEST_SUITE_P(Seeds, DemuxFuzz, ::testing::Range(1, 9));
 // --- Stream segment-processor fuzzing ----------------------------------------
 //
 // A real connection is established, then random — frequently malformed —
-// segments are run through BOTH the interpreted and the synthesized segment
-// processor from identical CCB/ring snapshots. The two must agree on the
-// verdict and on every observable side effect: CCB fields, event bits, ring
-// producer state, delivered bytes, and the shared demux counters.
+// segments are run through every tier of the one segment-processor template
+// from identical CCB/ring snapshots: the shared generic processor (behind the
+// generic demux walk), the connection's kSpecialized processor, and its kHot
+// processor (reached through the Specializer) with the word-wide copy. All
+// three must agree on the verdict and on every observable side effect: CCB
+// fields, event bits, ring producer state, the whole ring buffer, and the
+// shared demux counters. Ring heads are chosen so the payload run ends
+// before the ring edge, exactly on it (head + len == size), or past it.
 
 class StreamFuzz : public ::testing::TestWithParam<int> {};
 
@@ -575,6 +579,8 @@ TEST_P(StreamFuzz, GenericAndSynthesizedProcessorsAgreeOnRandomSegments) {
   ASSERT_EQ(st.StateOf(srv), CcbLayout::kEstablished);
   ExpectWellFormed(k, st.generic_processor());
   ExpectWellFormed(k, st.SynthDeliverOf(srv));
+  const SpecId spec = st.SpecOf(srv);
+  ASSERT_EQ(k.spec().TierOf(spec), SpecTier::kSpecialized);
 
   const Addr ccb = st.CcbOf(srv);
   auto ring = st.RingOf(srv);
@@ -588,11 +594,75 @@ TEST_P(StreamFuzz, GenericAndSynthesizedProcessorsAgreeOnRandomSegments) {
     }
     out->push_back(mem.Read32(ring->base + RingLayout::kHead));
     out->push_back(mem.Read32(ring->base + RingLayout::kTail));
-    for (uint32_t w = 0; w < 32; w++) {
-      out->push_back(mem.Read32(ring->base + RingLayout::kBuf + 4 * w));
+    for (uint32_t off = 0; off < ring_cap; off += 4) {
+      out->push_back(mem.Read32(ring->base + RingLayout::kBuf + off));
     }
     out->push_back(mem.Read32(nic.demux().ctr_malformed_addr()));
     out->push_back(mem.Read32(nic.demux().ctr_csum_addr()));
+  };
+  auto restore = [&](const std::vector<uint32_t>& snap) {
+    uint32_t idx = 0;
+    for (uint32_t off = 0; off < CcbLayout::kBytes; off += 4) {
+      mem.Write32(ccb + off, snap[idx++]);
+    }
+    mem.Write32(ring->base + RingLayout::kHead, snap[idx++]);
+    mem.Write32(ring->base + RingLayout::kTail, snap[idx++]);
+    for (uint32_t off = 0; off < ring_cap; off += 4) {
+      mem.Write32(ring->base + RingLayout::kBuf + off, snap[idx++]);
+    }
+    mem.Write32(nic.demux().ctr_malformed_addr(), snap[idx++]);
+    mem.Write32(nic.demux().ctr_csum_addr(), snap[idx++]);
+  };
+
+  // Runs one segment through all three tiers from the current CCB state with
+  // the ring head at `head` and `space` bytes free; returns whether the
+  // payload was accepted into the ring (and so took a copy loop).
+  auto diff_tiers = [&](const std::string& what, const std::vector<uint8_t>& p,
+                        uint32_t plen, uint32_t src, bool corrupt,
+                        uint32_t head, uint32_t space) {
+    mem.Write32(ccb + CcbLayout::kEvents, 0);
+    mem.Write32(ring->base + RingLayout::kHead, head);
+    mem.Write32(ring->base + RingLayout::kTail,
+                (head + space + 1) & (ring_cap - 1));
+    std::vector<uint32_t> before;
+    capture(&before);
+    std::vector<uint32_t> got[3];
+    uint32_t d0[3] = {0, 0, 0};
+    for (int pass = 0; pass < 3; pass++) {
+      if (pass == 2) {
+        // The hot tier is the same template with the contiguity hint bound.
+        EXPECT_TRUE(k.spec().Promote(spec, SpecTier::kHot)) << what;
+        ExpectWellFormed(k, st.SynthDeliverOf(srv));
+      }
+      restore(before);  // every pass starts from the identical snapshot
+      WriteFrame(mem, frame, 90, src, p.data(), plen);
+      if (corrupt) {
+        mem.Write32(frame + FrameLayout::kChecksum,
+                    mem.Read32(frame + FrameLayout::kChecksum) + 1);
+      }
+      k.machine().set_reg(kA1, frame);
+      k.machine().set_reg(kD0, 0xDEAD);
+      RunResult rr = k.kexec().Call(pass == 0 ? nic.demux().generic_demux()
+                                              : nic.demux().synthesized_demux());
+      EXPECT_EQ(rr.outcome, RunOutcome::kReturned)
+          << "segment processor crashed on " << what << " pass " << pass;
+      d0[pass] = k.machine().reg(kD0);
+      capture(&got[pass]);
+    }
+    EXPECT_TRUE(k.spec().Demote(spec, SpecTier::kSpecialized)) << what;
+    for (int pass = 1; pass < 3; pass++) {
+      EXPECT_EQ(d0[0], d0[pass])
+          << "verdict divergence on " << what << " pass " << pass;
+      EXPECT_EQ(got[0], got[pass])
+          << "CCB/ring/counter divergence on " << what << " pass " << pass;
+    }
+    return (got[0][CcbLayout::kEvents / 4] & CcbLayout::kEvData) != 0;
+  };
+  // Accepted payload runs that end before the ring edge, on it, past it.
+  uint32_t edge_hits[3] = {0, 0, 0};
+  auto note_edge = [&](uint32_t head, uint32_t dlen) {
+    const uint32_t end = head + dlen;
+    edge_hits[end < ring_cap ? 0 : end == ring_cap ? 1 : 2]++;
   };
 
   for (int round = 0; round < 64; round++) {
@@ -607,13 +677,9 @@ TEST_P(StreamFuzz, GenericAndSynthesizedProcessorsAgreeOnRandomSegments) {
     mem.Write32(ccb + CcbLayout::kSndUna, una);
     mem.Write32(ccb + CcbLayout::kSndNxt, nxt);
     mem.Write32(ccb + CcbLayout::kRcvNxt, rnxt);
-    mem.Write32(ccb + CcbLayout::kEvents, 0);
     mem.Write32(ccb + CcbLayout::kDupAcks, rng() % 3);
     mem.Write32(ccb + CcbLayout::kOoo, rng() % 5);
     mem.Write32(ccb + CcbLayout::kAccepted, rng() % 5);
-    mem.Write32(ring->base + RingLayout::kTail, 0);
-    mem.Write32(ring->base + RingLayout::kHead,
-                (ring_cap - 1 - space) & (ring_cap - 1));
 
     // Random segment: seq/ack clustered around the interesting boundaries,
     // flags mixed, sources mostly-right, checksums mostly-right, lengths
@@ -641,44 +707,55 @@ TEST_P(StreamFuzz, GenericAndSynthesizedProcessorsAgreeOnRandomSegments) {
     if (rng() % 8 == 0) {
       plen = rng() % StreamSeg::kHdrBytes;  // runt
     }
-
-    std::vector<uint32_t> before;
-    capture(&before);
-    std::vector<uint32_t> got[2];
-    uint32_t d0[2] = {0, 0};
-    for (int pass = 0; pass < 2; pass++) {
-      // Both passes start from the identical snapshot.
-      uint32_t idx = 0;
-      for (uint32_t off = 0; off < CcbLayout::kBytes; off += 4) {
-        mem.Write32(ccb + off, before[idx++]);
-      }
-      mem.Write32(ring->base + RingLayout::kHead, before[idx++]);
-      mem.Write32(ring->base + RingLayout::kTail, before[idx++]);
-      for (uint32_t w = 0; w < 32; w++) {
-        mem.Write32(ring->base + RingLayout::kBuf + 4 * w, before[idx++]);
-      }
-      mem.Write32(nic.demux().ctr_malformed_addr(), before[idx++]);
-      mem.Write32(nic.demux().ctr_csum_addr(), before[idx++]);
-      WriteFrame(mem, frame, 90, src, p.data(), plen);
-      // Corrupt the checksum on a deterministic schedule so both passes see
-      // the identical (sometimes bad) frame.
-      if ((round * 2654435761u) % 8 == 0) {
-        mem.Write32(frame + FrameLayout::kChecksum,
-                    mem.Read32(frame + FrameLayout::kChecksum) + 1);
-      }
-      k.machine().set_reg(kA1, frame);
-      k.machine().set_reg(kD0, 0xDEAD);
-      RunResult rr = k.kexec().Call(pass == 0 ? nic.demux().generic_demux()
-                                              : nic.demux().synthesized_demux());
-      ASSERT_EQ(rr.outcome, RunOutcome::kReturned)
-          << "segment processor crashed on round " << round;
-      d0[pass] = k.machine().reg(kD0);
-      capture(&got[pass]);
+    // The producer head: the payload run ends before the ring edge, exactly
+    // on it (head + len == size wraps the published head to 0), or past it
+    // (the copy wraps mid-run).
+    uint32_t head_menu[] = {r32() % (ring_cap / 2), ring_cap - dlen,
+                            ring_cap - dlen + 1 + r32() % 3,
+                            ring_cap - dlen - 1 - r32() % 8};
+    const uint32_t head = head_menu[rng() % 4] & (ring_cap - 1);
+    // Corrupt the checksum on a deterministic schedule.
+    const bool corrupt = (round * 2654435761u) % 8 == 0;
+    if (diff_tiers("round " + std::to_string(round), p, plen, src, corrupt,
+                   head, space)) {
+      note_edge(head, dlen);
     }
-    EXPECT_EQ(d0[0], d0[1]) << "verdict divergence on round " << round;
-    EXPECT_EQ(got[0], got[1])
-        << "CCB/ring/counter divergence on round " << round;
   }
+
+  // Directed rounds: an in-order segment the processors must accept, of
+  // every length class the word copy splits differently (whole words plus a
+  // 0-3 byte tail), on every side of the ring edge.
+  mem.Write32(ccb + CcbLayout::kState, CcbLayout::kEstablished);
+  for (uint32_t dlen : {1u, 3u, 4u, 7u, 8u, 13u, 32u, 63u}) {
+    for (uint32_t side = 0; side < (dlen > 1 ? 3u : 2u); side++) {
+      const uint32_t rnxt = 1 + rng() % 1024;
+      const uint32_t una = mem.Read32(ccb + CcbLayout::kSndUna);
+      mem.Write32(ccb + CcbLayout::kRcvNxt, rnxt);
+      std::vector<uint8_t> p(StreamSeg::kHdrBytes + dlen);
+      const uint32_t ackf = StreamSeg::kFlagAck;
+      std::memcpy(p.data() + StreamSeg::kSeq, &rnxt, 4);
+      std::memcpy(p.data() + StreamSeg::kAck, &una, 4);
+      std::memcpy(p.data() + StreamSeg::kFlags, &ackf, 4);
+      for (uint32_t i = 0; i < dlen; i++) {
+        p[StreamSeg::kHdrBytes + i] = static_cast<uint8_t>(rng());
+      }
+      // Where the run ends: 1-5 bytes before the edge, exactly on it, or
+      // 1..dlen-1 bytes past it (the copy wraps mid-run).
+      const uint32_t end = side == 0   ? ring_cap - 1 - rng() % 5
+                           : side == 1 ? ring_cap
+                                       : ring_cap + 1 + rng() % (dlen - 1);
+      const uint32_t head = end - dlen;
+      const std::string what = "directed len " + std::to_string(dlen) +
+                               " side " + std::to_string(side);
+      EXPECT_TRUE(diff_tiers(what, p, static_cast<uint32_t>(p.size()), 91,
+                             false, head, ring_cap - 1))
+          << what << ": the segment must be accepted";
+      note_edge(head, dlen);
+    }
+  }
+  EXPECT_GT(edge_hits[0], 0u);
+  EXPECT_GT(edge_hits[1], 0u);
+  EXPECT_GT(edge_hits[2], 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, StreamFuzz, ::testing::Range(1, 7));

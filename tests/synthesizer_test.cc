@@ -4,6 +4,8 @@
 // computes the same result as the general template.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "src/machine/assembler.h"
 #include "src/machine/code_store.h"
 #include "src/machine/executor.h"
@@ -268,6 +270,61 @@ TEST_F(SynthesizerTest, SpecializedMatchesGeneralOnRuntimeInput) {
       EXPECT_EQ(got, want) << "scale=" << scale << " x=" << x;
     }
   }
+}
+
+TEST_F(SynthesizerTest, ConstantsSurviveJoinsWhereEveryPathAgrees) {
+  // a5 holds one base on both arms of a branch, so the load after the join
+  // folds to an absolute address and the base register disappears; d1
+  // differs per arm, so the add after the join keeps its register operand.
+  constexpr Addr kBase = 0x100;
+  m_.memory().Write32(kBase + 8, 40);
+  Asm a("join");
+  a.MoveI(kA5, kBase).MoveI(kD2, 7);
+  a.Tst(kD0).Beq("other");
+  a.MoveI(kD1, 1).Bra("join");
+  a.Label("other");
+  a.MoveI(kD1, 2);
+  a.Label("join");
+  a.Load32(kD0, kA5, 8).Add(kD0, kD1).Sub(kD0, kD2).Rts();
+  CodeTemplate t = a.Build();
+  CodeBlock fast = synth_.Specialize(t, Bindings(), nullptr, opts_);
+  for (const Instr& in : fast.code) {
+    EXPECT_FALSE(in.rd == kA5 || in.rs == kA5) << "a5 must fold away";
+    EXPECT_NE(in.op, Opcode::kSub) << "d2's known value becomes an immediate";
+  }
+  EXPECT_EQ(std::count_if(fast.code.begin(), fast.code.end(),
+                          [](const Instr& in) { return in.op == Opcode::kAdd; }),
+            1);
+  BlockId gid = store_.Install(
+      synth_.Specialize(t, Bindings(), nullptr, SynthesisOptions::Disabled()));
+  BlockId fid = store_.Install(fast);
+  for (uint32_t x : {0u, 1u}) {
+    EXPECT_EQ(RunBlock(fid, x), RunBlock(gid, x)) << "x=" << x;
+  }
+}
+
+TEST_F(SynthesizerTest, LoopCarriedChangesReachTheLoopHeader) {
+  // d3 <- d2 <- d1 <- d1 + 1 each trip: d1 stops being a constant at the
+  // header after one trip around the back edge, d2 after two and d3 after
+  // three. Folding any of them at the header, or the exit test, would
+  // change the result; d4 never changes and folds into the body.
+  Asm a("chain");
+  a.MoveI(kD1, 1).MoveI(kD2, 1).MoveI(kD3, 1).MoveI(kD4, 3).MoveI(kD5, 0);
+  a.Label("loop");
+  a.Add(kD5, kD3).Add(kD5, kD4);
+  a.Move(kD3, kD2).Move(kD2, kD1).AddI(kD1, 1);
+  a.CmpI(kD3, 1).Bne("tail");
+  a.AddI(kD5, 100);  // only while d3 is still 1
+  a.Label("tail");
+  a.CmpI(kD1, 6).Bne("loop");
+  a.Move(kD0, kD5).Rts();
+  CodeTemplate t = a.Build();
+  CodeBlock fast = synth_.Specialize(t, Bindings(), nullptr, opts_);
+  BlockId gid = store_.Install(
+      synth_.Specialize(t, Bindings(), nullptr, SynthesisOptions::Disabled()));
+  BlockId fid = store_.Install(fast);
+  EXPECT_EQ(RunBlock(fid), RunBlock(gid));
+  EXPECT_EQ(RunBlock(gid), 5u * 3 + (1 + 1 + 1 + 2 + 3) + 2 * 100);
 }
 
 TEST_F(SynthesizerTest, SpecializationShortensPath) {
