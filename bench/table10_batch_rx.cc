@@ -41,9 +41,11 @@ double MeasureRxPath(bool synthesized, double coalesce_us) {
   Kernel k;
   IoSystem io(k, nullptr);
   NicConfig cfg;
-  cfg.synthesized_demux = synthesized;
   cfg.rx_coalesce_us = coalesce_us;
   NicDevice nic(k, cfg);
+  if (!synthesized) {
+    k.spec().Demote(nic.demux().head_spec(), SpecTier::kGeneric);
+  }
 
   auto ring = io.MakeRing(8192);
   constexpr uint16_t kPort = 7;

@@ -2,13 +2,14 @@
 //
 // Part 1 measures the per-frame transmit path in instructions, end to end
 // from the gather-API call through the descriptor fill, the TX-complete
-// interrupt and the retirement bookkeeping, across the full ablation matrix:
-// {generic, synthesized} retire loop x {per-frame, coalesced} completion.
-// The wire is a pure sink (drop_rate = 1.0) so no RX-side cost pollutes the
-// numbers: every instruction counted is transmit-path. The generic per-frame
-// cell is the seed's one-kNetTx-interrupt-per-frame baseline; the synthesized
+// interrupt and the retirement bookkeeping, per-frame against coalesced
+// completion. The wire is a pure sink (drop_rate = 1.0) so no RX-side cost
+// pollutes the numbers: every instruction counted is transmit-path. The
+// per-frame cell is the seed's one-kNetTx-interrupt-per-frame baseline; the
 // coalesced cell fills a burst of descriptors under one doorbell and retires
-// every completion that lands in the window under a single dispatch.
+// every completion that lands in the window under a single dispatch of the
+// retire loop, which is synthesized once per device (it folds only
+// device-lifetime constants).
 //
 // Part 2 measures what TX coalescing buys in aggregate: four pooled NICs
 // (serialize_tx = true, so each models its own one-frame-at-a-time DMA
@@ -38,10 +39,9 @@ constexpr uint32_t kPayloadBytes = 16;
 // Every frame pays the descriptor fill, the doorbell (per frame or per
 // burst), completion interrupt entry and retirement; coalesced runs share
 // one interrupt per window.
-double MeasureTxPath(bool synthesized, double coalesce_us) {
+double MeasureTxPath(double coalesce_us) {
   Kernel k;
   NicConfig cfg;
-  cfg.synthesized_demux = synthesized;  // also selects the TX retire loop
   cfg.tx_coalesce_us = coalesce_us;
   cfg.drop_rate = 1.0;  // wire sink: no RX delivery cost in the measurement
   NicDevice nic(k, cfg);
@@ -70,12 +70,12 @@ double MeasureTxPath(bool synthesized, double coalesce_us) {
       nic.tx_spurious_gauge().events() != 0) {
     std::fprintf(stderr,
                  "table13: retired %llu of %u frames (inflight %u, drops %llu,"
-                 " spurious %llu, synth=%d batch=%.0f)\n",
+                 " spurious %llu, batch=%.0f)\n",
                  static_cast<unsigned long long>(nic.tx_completed()), kFrames,
                  nic.tx_inflight(),
                  static_cast<unsigned long long>(nic.wire_drop_gauge().events()),
                  static_cast<unsigned long long>(nic.tx_spurious_gauge().events()),
-                 synthesized ? 1 : 0, coalesce_us);
+                 coalesce_us);
     std::exit(1);
   }
   if (coalesce_us > 0 &&
@@ -91,21 +91,18 @@ double MeasureTxPath(bool synthesized, double coalesce_us) {
 
 void RunTransmitPath(double* baseline_out, double* batched_out) {
   constexpr double kWindow = 25.0;
-  const double gen_frame = MeasureTxPath(false, 0.0);
-  const double gen_batch = MeasureTxPath(false, kWindow);
-  const double syn_frame = MeasureTxPath(true, 0.0);
-  const double syn_batch = MeasureTxPath(true, kWindow);
+  const double per_frame = MeasureTxPath(0.0);
+  const double coalesced = MeasureTxPath(kWindow);
 
   PrintHeader("Table 13: TX path per frame, fill -> retire (instructions)",
-              "generic", "synthesized");
-  PrintRow("per-frame doorbell + interrupt", gen_frame, syn_frame, "instr");
-  PrintRow("burst doorbell, coalesced retire", gen_batch, syn_batch, "instr");
-  PrintNote("generic walks the completion descriptor per iteration and pays a");
-  PrintNote("doorbell per frame; synthesized strips the walk (the completion");
-  PrintNote("queue itself names the retiring slot) and the burst commit rings");
-  PrintNote("one doorbell for all 16 descriptor fills.");
-  *baseline_out = gen_frame;
-  *batched_out = syn_batch;
+              "per-frame", "coalesced");
+  PrintRow("16-frame burst", per_frame, coalesced, "instr");
+  PrintNote("per-frame pays a doorbell and a completion interrupt per frame;");
+  PrintNote("coalesced rings one doorbell for all 16 descriptor fills and");
+  PrintNote("retires every due completion in one loop that walks no");
+  PrintNote("descriptor (the completion queue itself names the slot).");
+  *baseline_out = per_frame;
+  *batched_out = coalesced;
 }
 
 // Aggregate transmit rate across a 4-NIC pool, each with a serialized DMA
@@ -208,7 +205,7 @@ void Main() {
   // The numbers this table exists to demonstrate; regressions fail the bench.
   if (!(batched <= 0.6 * baseline)) {
     std::fprintf(stderr,
-                 "table13: synthesized coalesced path %.1f instr not <= 0.6x "
+                 "table13: coalesced path %.1f instr not <= 0.6x "
                  "the %.1f-instr per-frame baseline\n",
                  batched, baseline);
     std::exit(1);

@@ -11,6 +11,10 @@
 // fully unrolled checksum + copy. Both paths run
 // on identical frames and identical (emptied) rings; the speedup comes from
 // path length, not from different work.
+//
+// Self-enforced on both machine models: the synthesized path runs at most
+// 0.7x the generic instructions on every row, and at most 0.25x on the
+// fixed-64B (unrolled) row; the bench exits 1 otherwise.
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -78,7 +82,26 @@ Sample MeasureDemux(Kernel& k, DemuxSynthesizer& demux,
   return out;
 }
 
-void RunModel(const char* model_name, MachineConfig cfg) {
+constexpr double kMaxRatio = 0.7;
+constexpr double kMaxUnrolledRatio = 0.25;
+
+// False (after saying why) when the synthesized path runs more than
+// `bound` x the generic instructions.
+bool WithinBound(const char* model_name, const std::string& row,
+                 const Sample& s, double bound) {
+  if (s.synth_instr <= bound * s.generic_instr) {
+    return true;
+  }
+  std::fprintf(stderr,
+               "table6: %s, %s: synthesized %.1f instr not <= %.2fx the "
+               "generic %.1f\n",
+               model_name, row.c_str(), s.synth_instr, bound, s.generic_instr);
+  return false;
+}
+
+// Prints one machine model's table; returns false when a row misses its
+// bound.
+bool RunModel(const char* model_name, MachineConfig cfg) {
   Kernel::Config kc;
   kc.machine = cfg;
   Kernel k(kc);
@@ -102,18 +125,22 @@ void RunModel(const char* model_name, MachineConfig cfg) {
   Addr frame = k.allocator().Allocate(FrameLayout::kSlotBytes);
   PrintHeader(std::string("Table 6: packet demux, 4 flows, ") + model_name,
               "generic", "synthesized");
+  bool ok = true;
   for (uint32_t size : {4u, 64u, 512u}) {
     // The last flow in the table is the worst case for the generic walk and
     // the fixed-size flow the best for the synthesizer; measure both ends.
     Sample first = MeasureDemux(k, demux, ring_bases, frame, 1000, size);
-    PrintRow("port 1000 (first), " + std::to_string(size) + "B payload",
-             first.generic_instr, first.synth_instr, "instr");
+    const std::string row =
+        "port 1000 (first), " + std::to_string(size) + "B payload";
+    PrintRow(row, first.generic_instr, first.synth_instr, "instr");
     PrintRow("  same, time", first.generic_us, first.synth_us, "us");
+    ok &= WithinBound(model_name, row, first, kMaxRatio);
     if (size == 64) {
       Sample fixed = MeasureDemux(k, demux, ring_bases, frame, 4000, size);
-      PrintRow("port 4000 (fixed 64B, unrolled)", fixed.generic_instr,
-               fixed.synth_instr, "instr");
+      const std::string fixed_row = "port 4000 (fixed 64B, unrolled)";
+      PrintRow(fixed_row, fixed.generic_instr, fixed.synth_instr, "instr");
       PrintRow("  same, time", fixed.generic_us, fixed.synth_us, "us");
+      ok &= WithinBound(model_name, fixed_row, fixed, kMaxUnrolledRatio);
     }
   }
   PrintNote("generic = table walk + interpreted checksum + generic ring put;");
@@ -122,19 +149,24 @@ void RunModel(const char* model_name, MachineConfig cfg) {
   PrintNote("dispatch head: " +
             std::to_string(demux.head_stats().output_instructions) +
             " instructions, synthesized once per NIC; a bind writes one cell");
+  return ok;
 }
 
 }  // namespace
 
-void Main() {
-  RunModel("16 MHz SUN emulation", MachineConfig::SunEmulation());
-  RunModel("50 MHz native Quamachine", MachineConfig::NativeQuamachine());
+bool Main() {
+  // Both models print before the verdict, so a failing run still shows the
+  // whole table.
+  const bool sun = RunModel("16 MHz SUN emulation", MachineConfig::SunEmulation());
+  const bool qua =
+      RunModel("50 MHz native Quamachine", MachineConfig::NativeQuamachine());
+  return sun && qua;
 }
 
 }  // namespace synthesis
 
 int main() {
-  synthesis::Main();
+  const bool ok = synthesis::Main();
   synthesis::WriteBenchJson("BENCH_net.json");
-  return 0;
+  return ok ? 0 : 1;
 }

@@ -257,12 +257,14 @@ double MeasureGoodput(double drop, double reorder, bool synthesized,
   cfg.drop_rate = drop;
   cfg.reorder_rate = reorder;
   cfg.fault_seed = 42;
-  cfg.synthesized_demux = synthesized;
   Kernel k;
   IoSystem io(k, nullptr);
   NicPoolConfig pc;
   pc.nic = cfg;
   NicPool pool(k, pc);
+  if (!synthesized) {
+    k.spec().Demote(pool.nic(0).demux().head_spec(), SpecTier::kGeneric);
+  }
   StreamLayer st(k, io, pool);
   StreamConfig scfg;
   scfg.rto_base_us = 3000;

@@ -55,7 +55,7 @@ PathSample MeasurePath(Kernel& k, IoSystem& io, NicPool& pool, uint16_t port,
   NicDevice& owner = pool.nic(pool.SteerOf(port));
   const BlockId kPaths[] = {owner.demux().synthesized_demux(),
                             pool.generic_steering(),
-                            pool.synthesized_steering()};
+                            pool.active_steering()};
   double avg[3] = {0, 0, 0};
   constexpr int kReps = 32;
   for (int path = 0; path < 3; path++) {

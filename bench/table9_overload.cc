@@ -6,15 +6,16 @@
 // steering + demux walk before being found worthless, so useful throughput
 // collapses just when it matters most. The pool's admission armor is the
 // Synthesis answer: past a queue-depth watermark the outer demux cells swap
-// to a *synthesized early-drop filter* — a compare chain of the ports bound
-// right now, folded to immediates. A junk frame dies in a handful of
+// to a *synthesized early-drop filter* — a bit test against the bound-port
+// bitmap with the shed level folded in. A junk frame dies in a handful of
 // instructions, before checksum, ring append, or wakeup work; known flows
 // fall through to the normal path. Draining below the low watermark swaps
 // full steering back (hysteresis).
 //
 // Part 1 measures the decision cost directly: per-frame instructions to
 // reject an unknown-port frame through the shed filter, the synthesized
-// steering + demux, and the fully generic (layered-baseline) path.
+// steering + demux, and the fully generic (layered-baseline) path: the
+// steering and demux-head handles demoted to their kGeneric tiers.
 //
 // Part 2 offers the same good-frame rate at 1x and buried in a 4x flood
 // (1 good : 3 junk) and reports goodput (good frames delivered per virtual
@@ -54,6 +55,15 @@ uint16_t JunkPortFor(const NicPool& pool, uint32_t nic) {
   }
   std::fprintf(stderr, "table9: no junk port for nic %u\n", nic);
   std::exit(1);
+}
+
+// The layered baseline: steering and every NIC's demux head on their
+// verbatim kGeneric tiers.
+void DemoteToGeneric(Kernel& k, NicPool& pool) {
+  k.spec().Demote(pool.steering_spec(), SpecTier::kGeneric);
+  for (uint32_t i = 0; i < pool.size(); i++) {
+    k.spec().Demote(pool.nic(i).demux().head_spec(), SpecTier::kGeneric);
+  }
 }
 
 // --- Part 1: the drop decision, in instructions -------------------------------
@@ -104,17 +114,16 @@ void RunDropCost(double* shed_out, double* generic_out) {
   WriteFrame(k.machine().memory(), frame, junk_port, 7777, payload, kGoodBytes);
 
   const double shed = MeasureDrop(k, pool.shed_filter(), frame);
-  const double synth = MeasureDrop(k, pool.synthesized_steering(), frame);
-  pool.UseSynthesizedDemux(false);  // generic demux behind the inner cells
+  const double synth = MeasureDrop(k, pool.active_steering(), frame);
+  DemoteToGeneric(k, pool);  // the generic tiers behind the inner cells too
   const double generic = MeasureDrop(k, pool.generic_steering(), frame);
-  pool.UseSynthesizedDemux(true);
 
   PrintHeader("Table 9: dropping one junk frame (per-frame instructions)",
               "generic", "armored");
   PrintRow("generic steering + generic demux", generic, generic, "instr");
   PrintRow("synthesized steering + demux", generic, synth, "instr");
   PrintRow("synthesized shed filter", generic, shed, "instr");
-  PrintNote("the filter is the bound-port set compiled to a compare chain:");
+  PrintNote("the filter tests the dst port's bit in the bound-port bitmap:");
   PrintNote("an unknown dst dies before checksum, ring, or wakeup work.");
   *shed_out = shed;
   *generic_out = generic;
@@ -147,8 +156,7 @@ LoadResult MeasureLoad(bool armored, uint32_t junk_ratio) {
   IoSystem io(k, nullptr);
   NicPool pool(k, pc);
   if (!armored) {
-    pool.UseSynthesizedSteering(false);
-    pool.UseSynthesizedDemux(false);
+    DemoteToGeneric(k, pool);
   }
   std::vector<std::shared_ptr<RingHost>> rings;
   for (uint32_t i = 0; i < std::size(kServicePorts); i++) {

@@ -55,22 +55,33 @@ cmake --build "$BUILD_DIR" -j
 
 ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$(nproc)"
 
-# Bench smoke: table7 asserts the stream segment path (the synthesized
+# Bench smoke: table6 asserts the demux path (synthesized <= 0.7x the generic
+# walk's instructions on every row of both machine models, <= 0.25x on the
+# fixed-64B unrolled row).
+(cd "$BUILD_DIR" && ./bench/table6_net_demux > /dev/null)
+
+# table7 asserts the stream segment path (the synthesized
 # per-connection processor runs fewer instructions than the generic pipeline
 # on every row of both machine models).
 (cd "$BUILD_DIR" && ./bench/table7_stream > /dev/null)
 
 # table8 asserts its own acceptance numbers (synthesized steering
 # < 0.7x generic, 1->2 NIC scaling >= 1.7x) and exits nonzero on regression.
+# Its generic column is the steering template's verbatim kGeneric tier (the
+# handle's fallback), its synthesized column the kSpecialized tier.
 (cd "$BUILD_DIR" && ./bench/table8_nic_pool > /dev/null)
 
 # table9 asserts the overload-armor numbers (shed filter < 0.5x the generic
-# drop path; armored goodput at 4x offered load >= 0.8x peak).
+# drop path; armored goodput at 4x offered load >= 0.8x peak). Its generic
+# path and layered baseline are the steering and demux-head handles demoted
+# to kGeneric.
 (cd "$BUILD_DIR" && ./bench/table9_overload > /dev/null)
 
 # table10 asserts the batched-RX numbers (synthesized batched receive path
 # <= 0.6x the generic per-frame baseline; batching >= 1.3x aggregate delivery
 # rate at N=4) and gates on delivered==expected with zero ring overruns.
+# Its generic column demotes the demux head to kGeneric; the batch loop is
+# the same in both columns (there is one).
 # FAULTS=1 coverage of the batched path itself comes from the ctest pass:
 # batch_rx_test replays wire faults mid-batch and diffs ring bytes.
 (cd "$BUILD_DIR" && ./bench/table10_batch_rx > /dev/null)
@@ -102,12 +113,13 @@ if [[ "$BUILD_DIR" != build-asan ]] &&
   exit 1
 fi
 
-# table13 asserts the batched-TX numbers (synthesized coalesced transmit path
-# <= 0.6x the generic per-frame baseline; coalescing >= 1.3x aggregate
-# transmit rate at N=4) and gates on completed==expected with zero spurious
-# retirements and zero frames left in flight. FAULTS=1 coverage of the TX
-# retire loop comes from the ctest pass: batch_tx_test replays drop/corrupt/
-# reorder/dup schedules and irq-burst storms across both retire loops.
+# table13 asserts the batched-TX numbers (coalesced transmit path <= 0.6x
+# the per-frame baseline; coalescing >= 1.3x aggregate transmit rate at N=4)
+# and gates on completed==expected with zero spurious retirements and zero
+# frames left in flight. It has no generic column: the one retire loop is
+# synthesized once per device. FAULTS=1 coverage of the TX retire loop comes
+# from the ctest pass: batch_tx_test replays drop/corrupt/reorder/dup
+# schedules and irq-burst storms under both demux-head tiers.
 (cd "$BUILD_DIR" && ./bench/table13_tx_batch > /dev/null)
 
 # table14 is the crash-consistency gate: 64 seeded power-fail points through

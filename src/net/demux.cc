@@ -317,7 +317,9 @@ BlockId DemuxSynthesizer::BuildHead() {
   b.Set("tab_deliver", static_cast<int32_t>(htab_ + 4));
   b.Set("mask", static_cast<int32_t>((kHeadCells - 1) * kCellBytes));
   SynthesisOptions opts = kernel_.config().synthesis;
-  opts.live_out |= (1u << kD0) | (1u << kD1) | (1u << kD2);
+  // The delivers the head tail-jumps into read the frame (a1) and the port
+  // (d2).
+  opts.live_out |= (1u << kD0) | (1u << kD1) | (1u << kD2) | (1u << kA1);
   return kernel_.SynthesizeInstall(HeadTemplate(), b, nullptr,
                                    "net_demux_head@" + std::to_string(htab_),
                                    &head_stats_, &opts);

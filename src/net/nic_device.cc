@@ -12,6 +12,16 @@ namespace synthesis {
 
 namespace {
 bool IsPow2(uint32_t v) { return v != 0 && (v & (v - 1)) == 0; }
+
+// The batch loops have no fallback, so a device that cannot install one is a
+// hard construction error in every build.
+void RequireInstalled(BlockId blk, const char* what) {
+  if (blk == kInvalidBlock) {
+    std::fprintf(stderr, "NicDevice: code store full installing the %s\n",
+                 what);
+    std::abort();
+  }
+}
 }  // namespace
 
 NicDevice::NicDevice(Kernel& kernel, NicConfig config)
@@ -39,26 +49,18 @@ NicDevice::NicDevice(Kernel& kernel, NicConfig config)
   Memory& ctor_mem = kernel_.machine().memory();
   if (batching()) {
     due_base_ = kernel_.allocator().Allocate(4 + 4 * config_.rx_slots);
-    batch_desc_ = kernel_.allocator().Allocate(12);
     batch_cell_ = kernel_.allocator().Allocate(4);
     batch_idx_ = kernel_.allocator().Allocate(4);
-    assert(due_base_ != 0 && batch_desc_ != 0 && batch_cell_ != 0 &&
-           batch_idx_ != 0 && "kernel memory exhausted bringing up a NIC");
+    assert(due_base_ != 0 && batch_cell_ != 0 && batch_idx_ != 0 &&
+           "kernel memory exhausted bringing up a NIC");
     ctor_mem.Write32(due_base_, 0);
-    ctor_mem.Write32(batch_desc_ + 0, due_base_);
-    ctor_mem.Write32(batch_desc_ + 4, rx_base_);
-    ctor_mem.Write32(batch_desc_ + 8, demux_cell_);
   }
   if (tx_batching()) {
     tx_due_base_ = kernel_.allocator().Allocate(4 + 4 * config_.tx_slots);
-    tx_batch_desc_ = kernel_.allocator().Allocate(8);
     tx_batch_cell_ = kernel_.allocator().Allocate(4);
-    tx_batch_idx_ = kernel_.allocator().Allocate(4);
-    assert(tx_due_base_ != 0 && tx_batch_desc_ != 0 && tx_batch_cell_ != 0 &&
-           tx_batch_idx_ != 0 && "kernel memory exhausted bringing up a NIC");
+    assert(tx_due_base_ != 0 && tx_batch_cell_ != 0 &&
+           "kernel memory exhausted bringing up a NIC");
     ctor_mem.Write32(tx_due_base_, 0);
-    ctor_mem.Write32(tx_batch_desc_ + 0, tx_due_base_);
-    ctor_mem.Write32(tx_batch_desc_ + 4, tx_base_);
   }
   // Any hands-off swap of the demux head (refusal fallback, the adaptation
   // sweep's retry) must repoint this device's cells before the displaced
@@ -212,77 +214,17 @@ NicDevice::NicDevice(Kernel& kernel, NicConfig config)
   } else {
     // Batched RX: ONE interrupt covers every due completion. The entry
     // latches the due slots (batchfill trap = the controller's descriptor
-    // scan), then runs the active batch loop out of the batch cell. Two loop
-    // implementations share the cell, same pattern as demux/steering:
-    //
-    //  * GENERIC: reloads the descriptor (due table base, RX ring base,
-    //    demux cell address) from memory on every iteration — the layered
-    //    ablation baseline.
-    //  * SYNTHESIZED: every one of those is a device-lifetime invariant,
-    //    folded to an immediate (Factoring Invariants).
-    //
-    // Both reload the demux cell per frame, so a flow rebound by a deliver
-    // hook mid-batch steers the very next frame through the fresh demux, and
-    // both keep the per-frame RX-done trap (gauges, reader wakeups, hooks) —
-    // only the vector/entry/exit overhead is amortized.
-    Asm g("nic_rx_batch_gen");
-    g.MoveI(kD3, 0);
-    g.StoreA32(static_cast<int32_t>(batch_idx_), kD3);
-    g.Label("loop");
-    g.MoveI(kA2, static_cast<int32_t>(batch_desc_));
-    g.Load32(kD0, kA2, 0);  // due table base
-    g.Move(kA4, kD0);
-    g.Load32(kD6, kA4, 0);  // due count
-    g.LoadA32(kD3, static_cast<int32_t>(batch_idx_));
-    g.Cmp(kD3, kD6);
-    g.Bge("done");
-    g.Move(kD1, kD3);
-    g.LslI(kD1, 2);
-    g.Add(kD1, kD0);
-    g.Move(kA5, kD1);
-    g.Load32(kD1, kA5, 4);  // slot index
-    g.Load32(kD5, kA2, 4);  // RX ring base
-    g.MulI(kD1, FrameLayout::kSlotBytes);
-    g.Add(kD1, kD5);
-    g.Move(kA1, kD1);
-    g.Load32(kD7, kA2, 8);  // demux cell address
-    g.Move(kA5, kD7);
-    g.Load32(kD7, kA5, 0);  // current demux
-    g.JsrInd(kD7);
-    g.Trap(rxdone_vec);
-    g.LoadA32(kD3, static_cast<int32_t>(batch_idx_));
-    g.AddI(kD3, 1);
-    g.StoreA32(static_cast<int32_t>(batch_idx_), kD3);
-    g.Bra("loop");
-    g.Label("done");
-    g.Rts();
-    batch_loop_gen_ = kernel_.SynthesizeInstall(g.Build(), Bindings(), nullptr,
-                                                "nic_rx_batch_gen", nullptr,
-                                                &verbatim);
-    assert(batch_loop_gen_ != kInvalidBlock &&
-           "code store exhausted bringing up a NIC");
-
-    // The specialized loop registers behind a Specializer handle: the generic
-    // loop is its fallback (it reloads the descriptor per frame, so it is
-    // always valid), and the byte-cap sweep may demote it under pressure.
-    SpecDesc bd;
-    bd.name = "nic_rx_batch@" + std::to_string(batch_cell_);
-    bd.generic = batch_loop_gen_;
-    bd.adaptive = false;  // folds device-lifetime invariants; never stale
-    bd.emit = [this, rxdone_vec](SpecTier) {
-      return BuildRxBatchLoop(rxdone_vec);
-    };
-    bd.install = [this](BlockId blk, SpecTier tier, bool refused) {
-      (void)refused;
-      batch_loop_syn_ = tier == SpecTier::kGeneric ? kInvalidBlock : blk;
-      RefreshDemuxCell();
-    };
-    rx_batch_spec_ = kernel_.spec().Register(std::move(bd));
-    batch_loop_syn_ =
-        kernel_.spec().TierOf(rx_batch_spec_) == SpecTier::kGeneric
-            ? kInvalidBlock
-            : kernel_.spec().ActiveOf(rx_batch_spec_);
-    RefreshDemuxCell();  // now that the loops exist, point the batch cell
+    // scan), then runs the batch loop out of the batch cell. The loop folds
+    // only device-lifetime constants (due table, RX ring base, demux cell),
+    // so it is written once, synthesized once and installed as
+    // infrastructure, like the vector entries. It reloads the demux cell per
+    // frame, so a flow rebound by a deliver hook mid-batch steers the very
+    // next frame through the fresh demux, and it keeps the per-frame RX-done
+    // trap (gauges, reader wakeups, hooks) — only the vector/entry/exit
+    // overhead is amortized.
+    const BlockId loop = BuildRxBatchLoop(rxdone_vec);
+    RequireInstalled(loop, "RX batch loop");
+    ctor_mem.Write32(batch_cell_, static_cast<uint32_t>(loop));
 
     Asm rx("nic_rx_batch_entry");
     rx.Charge(60);            // controller status read, descriptor ack
@@ -311,67 +253,12 @@ NicDevice::NicDevice(Kernel& kernel, NicConfig config)
   } else {
     // Coalesced TX-complete: ONE interrupt retires every due frame. The
     // entry latches due slots (txfill trap = the controller's completion
-    // scan), then runs the active retire loop out of the TX batch cell —
-    // the same generic/synthesized pairing as the RX dispatch loop. The
-    // generic loop faithfully walks the completion descriptor per iteration
-    // (reload descriptor, index the due table, scale the slot index to a
-    // descriptor address) before trapping to the host wire model; unlike the
-    // RX loop there is no demux call inside, and host traps preserve
-    // simulated registers.
-    Asm g("nic_tx_batch_gen");
-    g.MoveI(kD3, 0);
-    g.StoreA32(static_cast<int32_t>(tx_batch_idx_), kD3);
-    g.Label("loop");
-    g.MoveI(kA2, static_cast<int32_t>(tx_batch_desc_));
-    g.Load32(kD0, kA2, 0);  // due table base
-    g.Move(kA4, kD0);
-    g.Load32(kD6, kA4, 0);  // due count
-    g.LoadA32(kD3, static_cast<int32_t>(tx_batch_idx_));
-    g.Cmp(kD3, kD6);
-    g.Bge("done");
-    g.Move(kD1, kD3);
-    g.LslI(kD1, 2);
-    g.Add(kD1, kD0);
-    g.Move(kA5, kD1);
-    g.Load32(kD1, kA5, 4);  // slot index
-    g.Load32(kD5, kA2, 4);  // TX ring base
-    g.MulI(kD1, FrameLayout::kSlotBytes);
-    g.Add(kD1, kD5);
-    g.Move(kA1, kD1);
-    g.Trap(txdone_vec);
-    g.LoadA32(kD3, static_cast<int32_t>(tx_batch_idx_));
-    g.AddI(kD3, 1);
-    g.StoreA32(static_cast<int32_t>(tx_batch_idx_), kD3);
-    g.Bra("loop");
-    g.Label("done");
-    g.Rts();
-    tx_batch_loop_gen_ = kernel_.SynthesizeInstall(
-        g.Build(), Bindings(), nullptr, "nic_tx_batch_gen", nullptr, &verbatim);
-    assert(tx_batch_loop_gen_ != kInvalidBlock &&
-           "code store exhausted bringing up a NIC");
-
-    // Specialized retire loop, registered like the RX loop. Its key
-    // specialization is dead-work elimination (see BuildTxBatchLoop); the
-    // generic walk is the fallback the Specializer demotes to under byte-cap
-    // pressure or a refused install.
-    SpecDesc td;
-    td.name = "nic_tx_batch@" + std::to_string(tx_batch_cell_);
-    td.generic = tx_batch_loop_gen_;
-    td.adaptive = false;
-    td.emit = [this, txdone_vec](SpecTier) {
-      return BuildTxBatchLoop(txdone_vec);
-    };
-    td.install = [this](BlockId blk, SpecTier tier, bool refused) {
-      (void)refused;
-      tx_batch_loop_syn_ = tier == SpecTier::kGeneric ? kInvalidBlock : blk;
-      RefreshDemuxCell();
-    };
-    tx_batch_spec_ = kernel_.spec().Register(std::move(td));
-    tx_batch_loop_syn_ =
-        kernel_.spec().TierOf(tx_batch_spec_) == SpecTier::kGeneric
-            ? kInvalidBlock
-            : kernel_.spec().ActiveOf(tx_batch_spec_);
-    RefreshDemuxCell();  // now that the loops exist, point the TX batch cell
+    // scan), then runs the retire loop out of the TX batch cell, installed
+    // once like the RX loop. There is no demux call inside, and host traps
+    // preserve simulated registers.
+    const BlockId loop = BuildTxBatchLoop(txdone_vec);
+    RequireInstalled(loop, "TX retire loop");
+    ctor_mem.Write32(tx_batch_cell_, static_cast<uint32_t>(loop));
 
     Asm tx("nic_tx_batch_entry");
     tx.Charge(40);          // controller status read, completion-queue ack
@@ -389,20 +276,13 @@ NicDevice::NicDevice(Kernel& kernel, NicConfig config)
   }
 }
 
-NicDevice::~NicDevice() {
-  // The emit/install callbacks capture `this`; the handles must not outlive
-  // the device. (The demux retires its own head handle.)
-  kernel_.spec().Retire(rx_batch_spec_);
-  kernel_.spec().Retire(tx_batch_spec_);
-}
-
 BlockId NicDevice::BuildRxBatchLoop(int rxdone_vec) {
   // The slot stride is a power-of-two sum (1040 = 1024 + 16), so the
   // specialized loop strength-reduces the MulI to two shifts and an add —
   // the same Factoring Invariants move the demux makes with the ring mask.
   static_assert((1u << 10) + (1u << 4) == FrameLayout::kSlotBytes,
                 "slot stride decomposition");
-  Asm s("nic_rx_batch_syn");
+  Asm s("nic_rx_batch_loop");
   s.MoveI(kD3, 0);
   s.StoreA32(static_cast<int32_t>(batch_idx_), kD3);
   s.Label("loop");
@@ -430,21 +310,18 @@ BlockId NicDevice::BuildRxBatchLoop(int rxdone_vec) {
   s.Rts();
   SynthesisOptions lopts = kernel_.config().synthesis;
   lopts.live_out |= (1u << kD0) | (1u << kD1) | (1u << kD2);
-  return kernel_.SynthesizeInstall(s.Build(), Bindings(), nullptr,
-                                   "nic_rx_batch_syn", nullptr, &lopts);
+  return kernel_.SynthesizeInstallEssential(s.Build(), Bindings(), nullptr,
+                                            "nic_rx_batch_loop", nullptr,
+                                            &lopts);
 }
 
 BlockId NicDevice::BuildTxBatchLoop(int txdone_vec) {
-  // The key specialization is not folded addresses but dead-work
-  // elimination: retirement identity comes from the completion queue itself
-  // (the txdone trap pops the controller's FIFO, which names the slot), so
-  // the generic loop's descriptor walk — reload descriptor, index the due
-  // table, scale to a slot address — computes values nothing consumes. The
-  // specializer strips the walk entirely; the due count (latched by txfill
-  // before the loop ran, nothing inside changes it) survives only as the
-  // loop bound, hoisted into a register that host traps are guaranteed to
-  // preserve.
-  Asm s("nic_tx_batch_syn");
+  // Retirement identity comes from the completion queue itself (the txdone
+  // trap pops the controller's FIFO, which names the slot), so the loop
+  // walks no descriptor: the due count (latched by txfill before the loop
+  // ran, nothing inside changes it) is only the loop bound, held in a
+  // register that host traps are guaranteed to preserve.
+  Asm s("nic_tx_batch_loop");
   s.LoadA32(kD6, static_cast<int32_t>(tx_due_base_));
   s.Tst(kD6);
   s.Beq("done");
@@ -457,8 +334,9 @@ BlockId NicDevice::BuildTxBatchLoop(int txdone_vec) {
   s.Rts();
   SynthesisOptions topts = kernel_.config().synthesis;
   topts.live_out |= (1u << kD0) | (1u << kD1) | (1u << kD2);
-  return kernel_.SynthesizeInstall(s.Build(), Bindings(), nullptr,
-                                   "nic_tx_batch_syn", nullptr, &topts);
+  return kernel_.SynthesizeInstallEssential(s.Build(), Bindings(), nullptr,
+                                            "nic_tx_batch_loop", nullptr,
+                                            &topts);
 }
 
 Addr NicDevice::RxSlotAddr(uint32_t index) const {
@@ -470,35 +348,15 @@ Addr NicDevice::TxSlotAddr(uint32_t index) const {
 }
 
 void NicDevice::RefreshDemuxCell() {
-  BlockId d = config_.synthesized_demux ? demux_.synthesized_demux()
-                                        : demux_.generic_demux();
+  // The head handle's active block: the synthesized head, or the generic
+  // walk after a refusal or a demotion to kGeneric.
+  BlockId d = demux_.synthesized_demux();
   Memory& mem = kernel_.machine().memory();
   // The inner cell always tracks the device's own demux, so a steering stage
   // in front survives a head swap without being re-emitted.
   mem.Write32(inner_cell_, static_cast<uint32_t>(d));
   BlockId outer = demux_override_ != kInvalidBlock ? demux_override_ : d;
   mem.Write32(demux_cell_, static_cast<uint32_t>(outer));
-  // The batch cell tracks the same synthesized/generic knob, so one switch
-  // flips the whole RX path (demux + dispatch loop) between the two variants.
-  if (batch_cell_ != 0) {
-    BlockId loop = (config_.synthesized_demux && batch_loop_syn_ != kInvalidBlock)
-                       ? batch_loop_syn_
-                       : batch_loop_gen_;
-    if (loop != kInvalidBlock) {
-      mem.Write32(batch_cell_, static_cast<uint32_t>(loop));
-    }
-  }
-  // Same knob drives the TX retire loop, so generic-vs-synthesized ablation
-  // flips the whole device, not just receive.
-  if (tx_batch_cell_ != 0) {
-    BlockId loop =
-        (config_.synthesized_demux && tx_batch_loop_syn_ != kInvalidBlock)
-            ? tx_batch_loop_syn_
-            : tx_batch_loop_gen_;
-    if (loop != kInvalidBlock) {
-      mem.Write32(tx_batch_cell_, static_cast<uint32_t>(loop));
-    }
-  }
   kernel_.machine().Charge(8, 1, 1);
 }
 
@@ -511,9 +369,9 @@ bool NicDevice::BindFlow(const FlowSpec& spec) {
   if (spec.ring == nullptr) {
     return false;
   }
-  // A custom flow carries BOTH processor variants (the demux swaps between
-  // them with the synthesized_demux knob); asking for one without the other
-  // is a caller bug, not a fallback.
+  // A custom flow carries BOTH processor variants (the head jumps to one,
+  // the generic walk calls the other); asking for one without the other is
+  // a caller bug, not a fallback.
   bool custom = spec.synth_deliver != kInvalidBlock ||
                 spec.generic_deliver != kInvalidBlock;
   if (custom) {
@@ -559,11 +417,6 @@ void NicDevice::SetWireFaults(double drop, double corrupt, double reorder,
   config_.reorder_rate = reorder;
   config_.duplicate_rate = duplicate;
   config_.burst_loss_rate = burst_loss;
-}
-
-void NicDevice::UseSynthesizedDemux(bool on) {
-  config_.synthesized_demux = on;
-  RefreshDemuxCell();
 }
 
 bool NicDevice::Transmit(uint16_t dst_port, uint16_t src_port,

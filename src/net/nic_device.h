@@ -6,8 +6,12 @@
 // complete interrupt; the wire then loops the frame back into an RX slot and
 // schedules a receive interrupt. The RX interrupt entry jumps through the
 // *demux cell*, a memory word holding the BlockId of the current demux routine
-// (an executable data structure: re-binding a flow re-synthesizes the demux
-// and stores the new entry point — the interrupt path never tests a flag).
+// (an executable data structure: when the demux head's Specializer handle
+// changes hands — a refusal fallback, a retry, a demotion to the generic walk
+// — the new entry point is stored in the cell; the interrupt path never tests
+// a flag). Each device's code is written once: the entries and, when
+// interrupts are coalesced, the RX batch loop and TX retire loop fold only
+// device-lifetime constants, so they are synthesized once at construction.
 //
 // Fault injection models a lossy segment: each transmitted frame may be
 // dropped, corrupted (one byte flipped), reordered (held on the wire for
@@ -53,7 +57,6 @@ struct NicConfig {
   double burst_loss_rate = 0.0;  // probability a loss burst starts here
   uint32_t burst_len = 4;        // frames consumed by one loss burst
   uint32_t fault_seed = 1;       // deterministic fault injection
-  bool synthesized_demux = true; // false: interpret the flow table (baseline)
   // Pooling support (NicPool). `irq_tag` is OR'd into every RX/TX interrupt
   // payload (the pool puts the NIC index in the high half so one shared
   // vector can dispatch to the owning device). `install_vectors` = false
@@ -119,7 +122,6 @@ struct FlowSpec {
 class NicDevice {
  public:
   NicDevice(Kernel& kernel, NicConfig config = NicConfig());
-  ~NicDevice();
 
   // Opens the flow `spec` describes: frames addressed to `spec.port` are
   // delivered into `spec.ring` as [len.lo len.hi src.lo src.hi payload...]
@@ -172,9 +174,6 @@ class NicDevice {
   // length) directly on the wire, bypassing Transmit's framing.
   void InjectRaw(uint32_t dst_port, uint32_t src_port, const uint8_t* payload,
                  uint32_t n, uint32_t checksum, uint32_t length_field);
-
-  // Swaps the demux implementation the RX interrupt jumps through.
-  void UseSynthesizedDemux(bool on);
 
   // Interposes `steer` between the RX entry and this device's demux: the RX
   // entry's outer cell is rewritten to `steer`, while the device's real demux
@@ -273,8 +272,9 @@ class NicDevice {
   Addr RxSlotAddr(uint32_t index) const;
   Addr TxSlotAddr(uint32_t index) const;
   void RefreshDemuxCell();
-  // Emit callbacks for the batch-loop specialization handles (the vectors are
-  // captured at construction; the loops fold device-lifetime invariants).
+  // The batch loops, synthesized once at construction (they fold only
+  // device-lifetime constants). They have no fallback, so they install as
+  // essential code, exempt from injected install refusals.
   BlockId BuildRxBatchLoop(int rxdone_vec);
   BlockId BuildTxBatchLoop(int txdone_vec);
   void ScheduleRxDelivery(uint32_t rx_idx, double at);
@@ -300,16 +300,11 @@ class NicDevice {
 
   // Batched-delivery state (allocated only when rx_coalesce_us > 0):
   // the due table [count][slot...] the batchfill trap latches pending frames
-  // into, a 3-word descriptor {due table, rx base, demux cell} the generic
-  // loop reloads per frame, the cell holding the active loop implementation,
-  // and a spill word for the loop counter (the demux clobbers registers).
+  // into, the cell the batch entry calls the loop through, and a spill word
+  // for the loop counter (the demux clobbers registers).
   Addr due_base_ = 0;
-  Addr batch_desc_ = 0;
   Addr batch_cell_ = 0;
   Addr batch_idx_ = 0;
-  BlockId batch_loop_gen_ = kInvalidBlock;
-  BlockId batch_loop_syn_ = kInvalidBlock;
-  SpecId rx_batch_spec_ = kBadSpec;
   std::vector<PendingRx> rx_pending_;
   uint64_t rx_pending_seq_ = 0;
   bool batch_armed_ = false;      // one batch interrupt is outstanding
@@ -319,20 +314,14 @@ class NicDevice {
   uint64_t rx_batch_frames_ = 0;
 
   // Coalesced-TX state (allocated only when tx_coalesce_us > 0): the due
-  // table the txfill trap latches completed slots into, a 2-word descriptor
-  // {due table, tx base} the generic retire loop reloads per frame, the cell
-  // holding the active retire-loop implementation, and a spill word for the
-  // generic loop's counter. Retire correctness never depends on the due
-  // table contents: each retire trap pops the wire queue, whose FIFO order
-  // matches completion order (completion times are monotone in transmit
-  // order), and the popped item carries its own tx_slot.
+  // table the txfill trap latches completed slots into (only its count word
+  // is read) and the cell the batch entry calls the retire loop through.
+  // Retire correctness never depends on the due table's slot entries: each
+  // retire trap pops the wire queue, whose FIFO order matches completion
+  // order (completion times are monotone in transmit order), and the popped
+  // item carries its own tx_slot.
   Addr tx_due_base_ = 0;
-  Addr tx_batch_desc_ = 0;
   Addr tx_batch_cell_ = 0;
-  Addr tx_batch_idx_ = 0;
-  BlockId tx_batch_loop_gen_ = kInvalidBlock;
-  BlockId tx_batch_loop_syn_ = kInvalidBlock;
-  SpecId tx_batch_spec_ = kBadSpec;
   std::vector<PendingTx> tx_pending_;
   uint64_t tx_pending_seq_ = 0;
   bool tx_batch_armed_ = false;    // one TX batch interrupt is outstanding

@@ -73,61 +73,21 @@ NicPool::NicPool(Kernel& kernel, NicPoolConfig config)
   }
   WriteDescriptor();
 
-  // The generic steering loop is installed exactly once: it reloads the pool
-  // geometry (NIC count, cell table, pin table) from the descriptor on every
-  // packet, so any later AddNic or pin change is already covered — the
-  // defining property (and cost) of the layered path.
+  // The steering template's verbatim tier is installed exactly once: it
+  // reloads the pool geometry (NIC count, cell table, pin table) from the
+  // descriptor on every packet, so any later AddNic or pin change is already
+  // covered — the defining property (and cost) of the layered path. The "po2"
+  // selector is bound to 0: only the subtract loop is valid for every N.
   SynthesisOptions verbatim = SynthesisOptions::Disabled();
-  Asm g("pool_steer_gen");
-  g.Load32(kD0, kA1, FrameLayout::kDstPort);
-  g.Load32(kD1, kA1, FrameLayout::kSrcPort);
-  // Pin-table walk: a (dst, src) match routes through the pinned owner's
-  // inner cell. Entries are 16 B = 4 words; LoadIdx32 scales the index by 4,
-  // so the cursor d3 advances in word units.
-  g.LoadA32(kD6, static_cast<int32_t>(desc_ + kPinCountOff));
-  g.MoveI(kD3, 0);
-  g.Label("ploop");
-  g.Tst(kD6);
-  g.Beq("hash");
-  g.LoadIdx32(kD7, kD3, static_cast<int32_t>(desc_ + kPinBaseOff));
-  g.Cmp(kD7, kD0);
-  g.Bne("pnext");
-  g.Lea(kD4, kD3, 1);
-  g.LoadIdx32(kD7, kD4, static_cast<int32_t>(desc_ + kPinBaseOff));
-  g.Cmp(kD7, kD1);
-  g.Bne("pnext");
-  g.Lea(kD4, kD3, 2);
-  g.LoadIdx32(kD7, kD4, static_cast<int32_t>(desc_ + kPinBaseOff));
-  g.Move(kA2, kD7);
-  g.Load32(kD7, kA2, 0);  // the pinned NIC's current demux
-  g.JsrInd(kD7);
-  g.Rts();
-  g.Label("pnext");
-  g.AddI(kD3, 4);
-  g.SubI(kD6, 1);
-  g.Bra("ploop");
-  // Hash stage: dst-port hash reduced by repeated subtraction (no divider).
-  g.Label("hash");
-  g.MoveI(kA2, static_cast<int32_t>(desc_));
-  g.Move(kD7, kD0);
-  g.LsrI(kD7, 8);
-  g.Xor(kD0, kD7);
-  g.AndI(kD0, 255);
-  g.Load32(kD6, kA2, 0);  // live NIC count
-  g.Label("mod");
-  g.Cmp(kD0, kD6);
-  g.Blt("done");
-  g.Sub(kD0, kD6);
-  g.Bra("mod");
-  g.Label("done");
-  g.LoadIdx32(kD7, kD0, static_cast<int32_t>(desc_ + 4));  // inner cell addr
-  g.Move(kA2, kD7);
-  g.Load32(kD7, kA2, 0);  // the owning NIC's current demux
-  g.JsrInd(kD7);
-  g.Rts();
-  steer_generic_ = kernel_.SynthesizeInstall(g.Build(), Bindings(), nullptr,
+  steer_generic_ = kernel_.SynthesizeInstall(SteeringTemplate(),
+                                             Bindings().Set("po2", 0), nullptr,
                                              "pool_steer_gen", nullptr,
                                              &verbatim);
+  if (config_.admission_control) {
+    generic_shed_ = kernel_.SynthesizeInstall(ShedTemplate(), Bindings(),
+                                              nullptr, "pool_shed_gen",
+                                              nullptr, &verbatim);
+  }
 
   // One shim per vector, installed once: TTEs snapshot their vectors at
   // thread-creation time, so the re-emittable dispatch chain must sit behind
@@ -149,7 +109,7 @@ NicPool::NicPool(Kernel& kernel, NicPoolConfig config)
 
   EmitSteering();
   EmitDispatch();
-  EmitShedFilter();
+  RegisterShedFilter();
   ApplySteering();
 }
 
@@ -238,6 +198,74 @@ void NicPool::WriteDescriptor() {
                            1 + kMaxNics + 4 * pins);
 }
 
+// Pool steering, written once (a1 = frame; d0/d2 come back from the demux it
+// tail-jumps into). Register-indirect over the descriptor: the pin count and
+// N load through a2, the pin and cell tables are indexed off their bases.
+// Verbatim, every frame reloads the geometry (the kGeneric tier). With the
+// descriptor invariant, the Synthesizer folds N, the pin count and the cell
+// table base (the kSpecialized tier): no pins drops the whole pin walk, and
+// the "po2" selector hole, bound to 1 when N is a power of two, reduces the
+// hash with one mask instead of the subtract loop.
+CodeTemplate NicPool::SteeringTemplate() const {
+  const int32_t pin_tab = static_cast<int32_t>(desc_ + kPinBaseOff);
+  Asm a("pool_steer");
+  a.Load32(kD0, kA1, FrameLayout::kDstPort);
+  a.MoveI(kA2, static_cast<int32_t>(desc_));
+  // Pin-table walk: a (dst, src) match routes through the pinned owner's
+  // inner cell. Entries are 16 B = 4 words; LoadIdx32 scales the index by 4,
+  // so the cursor d3 advances in word units.
+  a.Load32(kD6, kA2, static_cast<int32_t>(kPinCountOff));
+  a.Tst(kD6);
+  a.Beq("hash");
+  a.Load32(kD1, kA1, FrameLayout::kSrcPort);
+  a.MoveI(kD3, 0);
+  a.Label("pin");
+  a.LoadIdx32(kD7, kD3, pin_tab);
+  a.Cmp(kD0, kD7);
+  a.Bne("pnext");
+  a.Lea(kD4, kD3, 1);
+  a.LoadIdx32(kD7, kD4, pin_tab);
+  a.Cmp(kD1, kD7);
+  a.Bne("pnext");
+  a.Lea(kD4, kD3, 2);
+  a.LoadIdx32(kD7, kD4, pin_tab);
+  a.Move(kA2, kD7);
+  a.Load32(kD7, kA2, 0);  // the pinned NIC's current demux
+  a.JmpInd(kD7);
+  a.Label("pnext");
+  a.AddI(kD3, 4);
+  a.SubI(kD6, 1);
+  a.Tst(kD6);
+  a.Bne("pin");
+  // Hash stage: the dst-port hash reduced mod N (no divider).
+  a.Label("hash");
+  a.Move(kD7, kD0);
+  a.LsrI(kD7, 8);
+  a.Xor(kD0, kD7);
+  a.Load32(kD6, kA2, 0);  // live NIC count
+  a.MoveI(kD5, Asm::Sym("po2"));
+  a.Tst(kD5);
+  a.Beq("mod");
+  a.SubI(kD6, 1);
+  a.And(kD0, kD6);
+  a.Bra("cell");
+  a.Label("mod");
+  a.AndI(kD0, 255);
+  a.Label("sub");
+  a.Cmp(kD0, kD6);
+  a.Blt("cell");
+  a.Sub(kD0, kD6);
+  a.Bra("sub");
+  // Tail-jump through the owning NIC's inner cell: the demux returns straight
+  // to the RX entry, no extra frame (Collapsing Layers).
+  a.Label("cell");
+  a.LoadIdx32(kD7, kD0, static_cast<int32_t>(desc_ + 4));
+  a.Move(kA2, kD7);
+  a.Load32(kD7, kA2, 0);  // the owning NIC's current demux
+  a.JmpInd(kD7);
+  return a.Build();
+}
+
 void NicPool::EmitSteering() {
   if (steer_spec_ == kBadSpec) {
     SpecDesc sd;
@@ -246,11 +274,14 @@ void NicPool::EmitSteering() {
     sd.adaptive = false;   // re-folded on geometry/pin change, not on heat
     sd.evictable = false;  // one pool-wide block; eviction fodder lives below
     sd.emit = [this](SpecTier) { return BuildSteering(); };
-    sd.install = [this](BlockId blk, SpecTier tier, bool refused) {
-      InstallSteering(blk, tier, refused);
+    // On refusal the Specializer fell back to the verbatim tier; the
+    // displaced block retires deferred, after the cells are repointed.
+    sd.install = [this](BlockId blk, SpecTier, bool) {
+      steer_active_ = blk;
+      ApplySteering();
     };
     steer_spec_ = kernel_.spec().Register(std::move(sd));
-    steer_synth_ = kernel_.spec().ActiveOf(steer_spec_);
+    steer_active_ = kernel_.spec().ActiveOf(steer_spec_);
     return;
   }
   kernel_.spec().Reemit(steer_spec_);
@@ -259,70 +290,15 @@ void NicPool::EmitSteering() {
 BlockId NicPool::BuildSteering() {
   steer_gen_++;
   const uint32_t n = size();
-  const bool po2 = (n & (n - 1)) == 0;
   const std::string name = "pool_steer_syn#" + std::to_string(steer_gen_);
-
-  Asm a(name);
-  a.Load32(kD0, kA1, FrameLayout::kDstPort);
-  // Pin stage: each pinned connection folds to two immediate compares and a
-  // direct jump through the owner's inner cell (Factoring Invariants — the
-  // pin table IS the code).
-  uint32_t pin_idx = 0;
-  bool loaded_src = false;
-  for (const auto& [port, b] : bindings_) {
-    if (!b.pinned || pin_idx >= kMaxPins) {
-      continue;
-    }
-    if (!loaded_src) {
-      a.Load32(kD1, kA1, FrameLayout::kSrcPort);
-      loaded_src = true;
-    }
-    const std::string next = "p" + std::to_string(pin_idx++);
-    a.CmpI(kD0, static_cast<int32_t>(port));
-    a.Bne(next);
-    a.CmpI(kD1, static_cast<int32_t>(b.spec.pin_peer));
-    a.Bne(next);
-    a.LoadA32(kD7, static_cast<int32_t>(nics_[b.owner]->inner_cell_addr()));
-    a.JmpInd(kD7);
-    a.Label(next);
-  }
-  a.Move(kD7, kD0);
-  a.LsrI(kD7, 8);
-  a.Xor(kD0, kD7);
-  if (po2) {
-    // N is a pool-geometry invariant and a power of two: the whole hash
-    // reduction folds to one mask (Factoring Invariants).
-    a.AndI(kD0, static_cast<int32_t>(n - 1));
-  } else {
-    a.AndI(kD0, 255);
-    a.Label("mod");
-    a.CmpI(kD0, static_cast<int32_t>(n));
-    a.Blt("done");
-    a.SubI(kD0, static_cast<int32_t>(n));
-    a.Bra("mod");
-    a.Label("done");
-  }
-  // Tail-jump through the owning NIC's inner cell: the demux returns straight
-  // to the RX entry, no extra frame (Collapsing Layers).
-  a.LoadIdx32(kD7, kD0, static_cast<int32_t>(desc_ + 4));
-  a.Move(kA2, kD7);
-  a.Load32(kD7, kA2, 0);
-  a.JmpInd(kD7);
-
+  InvariantMemory inv(kernel_.machine().memory());
+  inv.AddRange(AddrRange{desc_, desc_ + kDescBytes});
   SynthesisOptions opts = kernel_.config().synthesis;
-  opts.live_out |= (1u << kD0) | (1u << kD1) | (1u << kD2);
-  return kernel_.SynthesizeInstall(a.Build(), Bindings(), nullptr, name,
-                                   nullptr, &opts);
-}
-
-void NicPool::InstallSteering(BlockId blk, SpecTier tier, bool refused) {
-  (void)tier;
-  (void)refused;
-  // On refusal (code-store pressure) the Specializer fell back to the
-  // always-correct generic loop; the displaced block retires deferred, after
-  // the cells below are repointed.
-  steer_synth_ = blk;
-  ApplySteering();
+  // The demux behind the inner cell reads the frame in a1.
+  opts.live_out |= (1u << kD0) | (1u << kD1) | (1u << kD2) | (1u << kA1);
+  return kernel_.SynthesizeInstall(
+      SteeringTemplate(), Bindings().Set("po2", (n & (n - 1)) == 0 ? 1 : 0),
+      &inv, name, nullptr, &opts);
 }
 
 void NicPool::EmitDispatch() {
@@ -335,8 +311,8 @@ void NicPool::EmitDispatch() {
     rd.adaptive = false;
     rd.evictable = false;
     rd.emit = [this](SpecTier) { return BuildRxDispatch(); };
-    rd.install = [this](BlockId blk, SpecTier tier, bool refused) {
-      InstallRxDispatch(blk, tier, refused);
+    rd.install = [this](BlockId blk, SpecTier, bool refused) {
+      InstallRxDispatch(blk, refused);
     };
     rx_dispatch_spec_ = kernel_.spec().Register(std::move(rd));
     rx_dispatch_ = kernel_.spec().ActiveOf(rx_dispatch_spec_);
@@ -349,8 +325,8 @@ void NicPool::EmitDispatch() {
     td.adaptive = false;
     td.evictable = false;
     td.emit = [this](SpecTier) { return BuildTxDispatch(); };
-    td.install = [this](BlockId blk, SpecTier tier, bool refused) {
-      InstallTxDispatch(blk, tier, refused);
+    td.install = [this](BlockId blk, SpecTier, bool refused) {
+      InstallTxDispatch(blk, refused);
     };
     tx_dispatch_spec_ = kernel_.spec().Register(std::move(td));
     tx_dispatch_ = kernel_.spec().ActiveOf(tx_dispatch_spec_);
@@ -406,8 +382,7 @@ BlockId NicPool::BuildTxDispatch() {
                                    nullptr, &verbatim);
 }
 
-void NicPool::InstallRxDispatch(BlockId blk, SpecTier tier, bool refused) {
-  (void)tier;
+void NicPool::InstallRxDispatch(BlockId blk, bool refused) {
   if (refused) {
     return;  // the previous chain stays in the cell
   }
@@ -416,8 +391,7 @@ void NicPool::InstallRxDispatch(BlockId blk, SpecTier tier, bool refused) {
                                      static_cast<uint32_t>(blk));
 }
 
-void NicPool::InstallTxDispatch(BlockId blk, SpecTier tier, bool refused) {
-  (void)tier;
+void NicPool::InstallTxDispatch(BlockId blk, bool refused) {
   if (refused) {
     return;
   }
@@ -426,194 +400,95 @@ void NicPool::InstallTxDispatch(BlockId blk, SpecTier tier, bool refused) {
                                      static_cast<uint32_t>(blk));
 }
 
-namespace {
-// Emits the level-2 class test at label "cls": a header-only segment (pure
-// ack) or one whose flags word carries SYN/FIN/RST is control plane and
-// branches to "pass"; bulk data bumps `data_ctr` and drops like a no-match.
-void EmitClassTest(Asm& a, Addr data_ctr) {
-  a.Label("cls");
-  a.Load32(kD3, kA1, FrameLayout::kLength);
-  a.CmpI(kD3, static_cast<int32_t>(NicPool::kShedCtrlMaxBytes));
-  a.Bls("pass");
-  a.Load32(kD3, kA1,
-           FrameLayout::kPayload + NicPool::kShedCtrlFlagsOff);
-  a.AndI(kD3, static_cast<int32_t>(NicPool::kShedCtrlFlagsMask));
-  a.Tst(kD3);
-  a.Bne("pass");
-  a.LoadA32(kD1, static_cast<int32_t>(data_ctr));
-  a.AddI(kD1, 1);
-  a.StoreA32(static_cast<int32_t>(data_ctr), kD1);
-  a.MoveI(kD0, -2);
-  a.Rts();
-}
-
-// Emits the O(1) bitmap membership test: d0 = dst port on entry; branches to
-// `hit` when the port's bit is set, falls through otherwise. The ISA has no
-// variable shift, so the bit mask comes from a 32-entry table.
-void EmitBitmapTest(Asm& a, Addr bitmap, Addr mask_tab,
-                    const std::string& hit) {
+// The early-drop filter, written once (a1 = frame). Membership is the
+// bound-port bitmap: d0 = dst port, the bit mask comes from a 32-entry table
+// (the ISA has no variable shift). An unknown port bumps the shed counter
+// and returns the demux no-match verdict. A bound port reads the level word:
+// below 2 it passes; at 2 a header-only segment (pure ack) or one whose
+// flags carry SYN/FIN/RST is control plane and passes, while bulk data bumps
+// the data counter and drops. Passing frames tail-jump through the steering
+// cell, so steering re-emission never touches the filter. Verbatim this is
+// the kGeneric tier; with the level word invariant the level test folds and
+// the class test is compiled in or out (the kSpecialized tier).
+CodeTemplate NicPool::ShedTemplate() const {
+  Asm a("pool_shed");
+  a.Load32(kD0, kA1, FrameLayout::kDstPort);
   a.Move(kD1, kD0);
   a.LsrI(kD1, 5);
-  a.LoadIdx32(kD3, kD1, static_cast<int32_t>(bitmap));
+  a.LoadIdx32(kD3, kD1, static_cast<int32_t>(shed_bitmap_));
   a.Move(kD4, kD0);
   a.AndI(kD4, 31);
-  a.LoadIdx32(kD4, kD4, static_cast<int32_t>(mask_tab));
+  a.LoadIdx32(kD4, kD4, static_cast<int32_t>(shed_mask_tab_));
   a.And(kD3, kD4);
   a.Tst(kD3);
-  a.Bne(hit);
-}
-}  // namespace
-
-void NicPool::EmitShedFilter() {
-  if (!config_.admission_control) {
-    return;
-  }
-
-  if (!config_.synthesized_shed) {
-    const uint32_t lvl = shed_level_ >= 2 ? 2u : 1u;
-    // The interpreted baseline (ablation): installed exactly once. It
-    // reloads the shed level and walks the bound-port bitmap from memory on
-    // every frame, so binds, unbinds and level changes are pure data writes
-    // — the defining property (and per-frame cost) of the layered path.
-    if (generic_shed_ == kInvalidBlock) {
-      SynthesisOptions verbatim = SynthesisOptions::Disabled();
-      Asm g("pool_shed_gen");
-      g.Load32(kD0, kA1, FrameLayout::kDstPort);
-      EmitBitmapTest(g, shed_bitmap_, shed_mask_tab_, "bound");
-      g.LoadA32(kD1, static_cast<int32_t>(shed_ctr_));
-      g.AddI(kD1, 1);
-      g.StoreA32(static_cast<int32_t>(shed_ctr_), kD1);
-      g.MoveI(kD0, -2);
-      g.Rts();
-      g.Label("bound");
-      g.LoadA32(kD3, static_cast<int32_t>(shed_level_word_));
-      g.CmpI(kD3, 2);
-      g.Blt("pass");
-      EmitClassTest(g, shed_data_ctr_);
-      g.Label("pass");
-      g.LoadA32(kD7, static_cast<int32_t>(steer_cell_));
-      g.JmpInd(kD7);
-      generic_shed_ = kernel_.SynthesizeInstall(g.Build(), Bindings(), nullptr,
-                                                "pool_shed_gen", nullptr,
-                                                &verbatim);
-    }
-    shed_filter_ = generic_shed_;
-    shed_filter_level_ = lvl;  // the level word, not the code, carries it
-    shed_filter_is_bitmap_ = true;
-    if (shedding_ && shed_filter_ == kInvalidBlock) {
-      shedding_ = false;
-      shed_level_ = 0;
-      WriteShedLevel();
-    }
-    return;
-  }
-
-  if (shed_spec_ == kBadSpec) {
-    SpecDesc sd;
-    sd.name = "pool_shed";
-    sd.adaptive = false;   // re-shaped by watermarks and churn, not heat
-    sd.evictable = false;  // the armor must not be an eviction victim
-    sd.emit = [this](SpecTier) { return BuildShedFilter(); };
-    sd.install = [this](BlockId blk, SpecTier tier, bool refused) {
-      InstallShedFilter(blk, tier, refused);
-    };
-    shed_spec_ = kernel_.spec().Register(std::move(sd));
-    if (kernel_.spec().DegradedOf(shed_spec_)) {
-      InstallShedFilter(kInvalidBlock, SpecTier::kSpecialized, /*refused=*/true);
-    } else {
-      InstallShedFilter(kernel_.spec().ActiveOf(shed_spec_),
-                        SpecTier::kSpecialized, /*refused=*/false);
-    }
-    return;
-  }
-  kernel_.spec().Reemit(shed_spec_);
-}
-
-BlockId NicPool::BuildShedFilter() {
-  const uint32_t lvl = shed_level_ >= 2 ? 2u : 1u;
-  shed_gen_++;
-  const std::string name = "pool_shed#" + std::to_string(shed_gen_);
-  // The synthesized early-drop filter: bound-port membership plus the
-  // current shed level compiled into straight-line code. A control-plane
-  // frame falls through to the full steering stage (via the steering cell,
-  // so steering re-emission never touches the filter); everything shed is
-  // dropped after a handful of instructions — no checksum, no ring append,
-  // no wakeup.
-  const bool bitmap = bindings_.size() > config_.shed_chain_max;
-  const std::string hit = lvl == 2 ? "cls" : "pass";
-  Asm a(name);
-  a.Load32(kD0, kA1, FrameLayout::kDstPort);
-  if (bitmap) {
-    EmitBitmapTest(a, shed_bitmap_, shed_mask_tab_, hit);
-  } else {
-    for (const auto& [port, b] : bindings_) {
-      a.CmpI(kD0, static_cast<int32_t>(port));
-      a.Beq(hit);
-    }
-  }
+  a.Bne("bound");
   a.LoadA32(kD1, static_cast<int32_t>(shed_ctr_));
   a.AddI(kD1, 1);
   a.StoreA32(static_cast<int32_t>(shed_ctr_), kD1);
   a.MoveI(kD0, -2);  // same contract as a demux no-match
   a.Rts();
-  if (lvl == 2) {
-    EmitClassTest(a, shed_data_ctr_);
-  }
+  a.Label("bound");
+  a.LoadA32(kD3, static_cast<int32_t>(shed_level_word_));
+  a.CmpI(kD3, 2);
+  a.Blt("pass");
+  a.Load32(kD3, kA1, FrameLayout::kLength);
+  a.CmpI(kD3, static_cast<int32_t>(kShedCtrlMaxBytes));
+  a.Bls("pass");
+  a.Load32(kD3, kA1, FrameLayout::kPayload + kShedCtrlFlagsOff);
+  a.AndI(kD3, static_cast<int32_t>(kShedCtrlFlagsMask));
+  a.Tst(kD3);
+  a.Bne("pass");
+  a.LoadA32(kD1, static_cast<int32_t>(shed_data_ctr_));
+  a.AddI(kD1, 1);
+  a.StoreA32(static_cast<int32_t>(shed_data_ctr_), kD1);
+  a.MoveI(kD0, -2);
+  a.Rts();
   a.Label("pass");
   a.LoadA32(kD7, static_cast<int32_t>(steer_cell_));
   a.JmpInd(kD7);
-
-  SynthesisOptions opts = kernel_.config().synthesis;
-  opts.live_out |= (1u << kD0) | (1u << kD1) | (1u << kD2);
-  pending_shed_level_ = lvl;
-  pending_shed_bitmap_ = bitmap;
-  return kernel_.SynthesizeInstall(a.Build(), Bindings(), nullptr, name,
-                                   nullptr, &opts);
+  return a.Build();
 }
 
-void NicPool::InstallShedFilter(BlockId blk, SpecTier tier, bool refused) {
-  (void)tier;
-  if (refused) {
-    // A stale filter would drop freshly bound ports, so refusal means armor
-    // off — the pool serves the full path until a later emit succeeds (the
-    // adaptation sweep retries while the handle stays degraded).
-    shed_filter_ = kInvalidBlock;
-    shed_filter_level_ = 0;
-    if (shedding_) {
-      shedding_ = false;
-      shed_level_ = 0;
-      WriteShedLevel();
-      ApplySteering();
-    }
-    return;
-  }
-  shed_filter_ = blk;
-  shed_filter_level_ = pending_shed_level_;
-  shed_filter_is_bitmap_ = pending_shed_bitmap_;
-  if (shedding_) {
-    ApplySteering();  // repoint the cells before the displaced block drains
-  }
-}
-
-// Bind/unbind hook: in steady bitmap mode the bit write already updated the
-// membership, so connection churn skips re-emission entirely; the chain
-// variant (small N) re-emits per change, and crossing shed_chain_max in
-// either direction re-emits to switch variants.
-void NicPool::RefreshShedFilter() {
+void NicPool::RegisterShedFilter() {
   if (!config_.admission_control) {
     return;
   }
-  if (!config_.synthesized_shed) {
-    if (generic_shed_ == kInvalidBlock) {
-      EmitShedFilter();  // retry the one-time install if it was refused
-    }
-    return;
+  SpecDesc sd;
+  sd.name = "pool_shed";
+  sd.generic = generic_shed_;
+  sd.adaptive = false;   // re-folded on a level change, not on heat
+  sd.evictable = false;  // the armor must not be an eviction victim
+  sd.emit = [this](SpecTier) { return BuildShedFilter(); };
+  sd.install = [this](BlockId blk, SpecTier tier, bool) {
+    InstallShedFilter(blk, tier);
+  };
+  shed_spec_ = kernel_.spec().Register(std::move(sd));
+  InstallShedFilter(kernel_.spec().ActiveOf(shed_spec_),
+                    kernel_.spec().TierOf(shed_spec_));
+}
+
+BlockId NicPool::BuildShedFilter() {
+  shed_gen_++;
+  const std::string name = "pool_shed#" + std::to_string(shed_gen_);
+  InvariantMemory inv(kernel_.machine().memory());
+  inv.AddRange(AddrRange{shed_level_word_, shed_level_word_ + 4});
+  SynthesisOptions opts = kernel_.config().synthesis;
+  // Steering behind the cell reads the frame in a1.
+  opts.live_out |= (1u << kD0) | (1u << kD1) | (1u << kD2) | (1u << kA1);
+  return kernel_.SynthesizeInstall(ShedTemplate(), Bindings(), &inv, name,
+                                   nullptr, &opts);
+}
+
+void NicPool::InstallShedFilter(BlockId blk, SpecTier tier) {
+  // A refusal lands here with the verbatim tier, which reads the level word
+  // and the bitmap per frame: shedding carries on through it. A specialized
+  // block is installed right after it was emitted, so the level word it
+  // folded is still shed_level_.
+  shed_filter_ = blk;
+  shed_folded_data_ = tier != SpecTier::kGeneric && shed_level_ >= 2;
+  if (shedding_) {
+    ApplySteering();  // repoint the cells before the displaced block drains
   }
-  const bool want_bitmap = bindings_.size() > config_.shed_chain_max;
-  if (want_bitmap && shed_filter_is_bitmap_ && shed_filter_ != kInvalidBlock) {
-    return;
-  }
-  EmitShedFilter();
 }
 
 void NicPool::WriteShedBit(uint16_t port, bool on) {
@@ -652,13 +527,13 @@ void NicPool::EnterShedLevel(uint32_t lvl) {
   const uint32_t prev = shed_level_;
   shed_level_ = lvl;
   WriteShedLevel();
-  // Re-emitted on watermark engage when the emitted shape no longer matches
-  // the level: the class test is folded into the compare chain, so
-  // escalation changes the code, not a flag. (The interpreted baseline reads
-  // the level word instead and never re-emits.)
-  if (shed_filter_ == kInvalidBlock ||
-      (config_.synthesized_shed && shed_filter_level_ != lvl)) {
-    EmitShedFilter();
+  // The specialized filter folds the level word, so a level it did not fold
+  // re-emits it: escalation changes the code, not a flag. A degraded handle
+  // (its last emit was refused) retries here; a handle demoted to the
+  // verbatim tier reads the word and re-emits nothing.
+  if (kernel_.spec().DegradedOf(shed_spec_) ||
+      shed_folded_data_ != (lvl >= 2)) {
+    kernel_.spec().Reemit(shed_spec_);
   }
   if (shed_filter_ == kInvalidBlock) {
     shed_level_ = 0;  // can't shed without a filter; serve the full path
@@ -746,17 +621,6 @@ bool NicPool::AddNic() {
   return true;
 }
 
-void NicPool::UseSynthesizedSteering(bool on) {
-  config_.synthesized_steering = on;
-  ApplySteering();
-}
-
-void NicPool::UseSynthesizedDemux(bool on) {
-  for (auto& nic : nics_) {
-    nic->UseSynthesizedDemux(on);
-  }
-}
-
 bool NicPool::BindOn(uint32_t idx, const FlowSpec& spec) {
   return nics_[idx]->BindFlow(spec);
 }
@@ -781,7 +645,6 @@ bool NicPool::BindFlow(FlowSpec spec) {
     EmitSteering();
   }
   WriteShedBit(port, true);
-  RefreshShedFilter();
   ApplySteering();
   return true;
 }
@@ -811,7 +674,6 @@ bool NicPool::UnbindFlow(uint16_t port) {
     EmitSteering();
   }
   WriteShedBit(port, false);
-  RefreshShedFilter();
   ApplySteering();
   return ok;
 }

@@ -6,21 +6,23 @@
 //
 //  * The STEERING block sits in each NIC's outer demux cell. It hashes the
 //    destination port and tail-jumps through the owning NIC's *inner* demux
-//    cell. It exists twice, same contract as the demux (a1 = frame, returns
-//    d0/d2): a GENERIC routine that reloads the pool geometry (N, the cell
-//    table, the pin table) from memory and reduces the hash by a subtract
-//    loop every packet — the layered baseline, installed once and valid for
-//    any geometry — and a SYNTHESIZED routine re-emitted whenever the
-//    geometry or the pin set changes, with the table base folded to an
-//    immediate and the modulo folded to a single shift+mask when N is a
-//    power of two (Factoring Invariants).
+//    cell (same contract as the demux: a1 = frame, returns d0/d2). It is
+//    written once, as a template over the pool descriptor (N, the inner-cell
+//    table, the pin table): a pin-table walk, the dst-port hash, and its
+//    reduction mod N. Its tiers are bindings of that one template
+//    (Factoring Invariants). Emitted verbatim it reloads the
+//    geometry every packet and reduces the hash by a subtract loop — the
+//    kGeneric tier, the layered baseline, installed once and valid for any
+//    geometry. With the descriptor declared invariant the Synthesizer folds
+//    N, the table base and the pin count into the kSpecialized tier,
+//    re-emitted whenever the geometry or the pin set changes; when N is a
+//    power of two a selector hole turns the reduction into one mask.
 //
 //  * A PIN stage ahead of the hash: connection flows registered with a known
 //    peer are pinned to a NIC chosen from the (src, dst) pair, so many
 //    connections to one service port spread across devices instead of the
-//    port's hash pinning them all to one. Synthesized form: a compare chain
-//    on (dst, src) immediates jumping straight through the owner's inner
-//    cell; generic form: a pin-table walk in the descriptor.
+//    port's hash pinning them all to one. Both tiers walk the descriptor's
+//    pin table; a (dst, src) match jumps through the owner's inner cell.
 //
 //  * Each NIC keeps its real demux id flowing into its inner cell, so a
 //    demux swap (refusal fallback, pressure demotion) never re-emits
@@ -34,18 +36,17 @@
 //    enters the owning device's rx/tx entry.
 //
 // OVERLOAD ARMOR (admission control): past a configurable RX queue-depth
-// watermark the pool swaps a *synthesized early-drop filter* into the outer
-// cells; any frame for an unknown port is dropped in a handful of
-// instructions, before checksum, ring append, or wakeup work. Known flows
-// fall through to the normal steering stage (reached through a steering
-// cell, so steering re-emission never re-emits the filter). Hysteresis: the
-// filter disengages only when every NIC has drained below the low watermark.
-// This is the Synthesis move applied to load shedding — the fate of a junk
-// frame is decided by code specialized to "what is bound right now", which
-// is what keeps goodput from collapsing under receive livelock (table9).
+// watermark the pool swaps an *early-drop filter* into the outer cells; any
+// frame for an unknown port is dropped in a handful of instructions, before
+// checksum, ring append, or wakeup work. Known flows fall through to the
+// normal steering stage (reached through a steering cell, so steering
+// re-emission never re-emits the filter). Hysteresis: the filter disengages
+// only when every NIC has drained below the low watermark. This is the
+// Synthesis move applied to load shedding — the fate of a junk frame is
+// decided before any layered work, which is what keeps goodput from
+// collapsing under receive livelock (table9).
 //
-// The filter escalates in PRIORITY LEVELS, and the level is folded into the
-// emitted code (re-emitted on watermark engage), not tested per frame:
+// The filter escalates in PRIORITY LEVELS:
 //   level 1 (depth >= shed_high_watermark): unknown ports drop, bound flows
 //     pass untouched;
 //   level 2 (depth >= shed_data_watermark): unknown ports drop AND bulk data
@@ -53,15 +54,13 @@
 //     acks and segments flagged SYN/FIN/RST — stay admissible, so handshakes
 //     and teardowns complete while the retransmit machinery absorbs the shed
 //     data. Both levels disengage together on full drain.
-// Two synthesized membership variants, chosen by bound-flow count (the
-// quantitative-synthesis move — pick among correct variants by objective):
-// below shed_chain_max a compare chain of immediates (cheapest per frame at
-// small N, re-emitted per bind); above it a bound-port BITMAP walked in O(1)
-// — an executable data structure whose bits the bind path flips with two
-// memory writes, so connection churn at C10K scale stops re-emitting the
-// filter entirely. An INTERPRETED baseline (synthesized_shed = false) is
-// kept as the ablation: installed once, it reloads the shed level and walks
-// the same bitmap from memory on every frame.
+// The filter, too, is written once. Membership is a bound-port BITMAP, an
+// executable data structure whose bits the bind path flips with two memory
+// writes, so binds and unbinds never re-emit the filter. The level comes
+// from a level word: the kGeneric tier (verbatim) reads it per frame, and
+// the kSpecialized tier folds it, so escalation re-emits the filter with the
+// class test compiled in or out. The generic tier is the shed handle's
+// fallback: a refused re-emit at engage keeps shedding through it.
 //
 // Growing the pool (AddNic) migrates flows whose hash (or pin) moved,
 // re-emits the steering + dispatch blocks, retires the old ones, and leaves
@@ -86,7 +85,6 @@ namespace synthesis {
 struct NicPoolConfig {
   uint32_t initial_nics = 1;
   NicConfig nic;  // per-NIC template; irq_tag/install_vectors are overridden
-  bool synthesized_steering = true;  // false: generic loop (ablation/baseline)
   // Overload armor: when on, RX queue depth >= shed_high_watermark on any NIC
   // swaps the synthesized early-drop filter into the outer cells; depth <=
   // shed_low_watermark on every NIC swaps full steering back (hysteresis).
@@ -97,12 +95,6 @@ struct NicPoolConfig {
   // only control-plane segments stay admissible. Must exceed the high
   // watermark (checked at construction).
   uint32_t shed_data_watermark = 96;
-  // Bound-flow count above which the filter's membership test switches from
-  // the immediate compare chain to the bitmap walk.
-  uint32_t shed_chain_max = 24;
-  // false: the interpreted filter baseline (ablation) — installed once,
-  // level and membership reloaded from memory per frame.
-  bool synthesized_shed = true;
 };
 
 class NicPool {
@@ -139,17 +131,15 @@ class NicPool {
   // kMaxNics. Per-flow custom processors survive untouched.
   bool AddNic();
 
-  // Swaps which steering implementation the outer cells point at.
-  void UseSynthesizedSteering(bool on);
-  // Forwards to every NIC (the demux stage ablation).
-  void UseSynthesizedDemux(bool on);
-
+  // The steering handle (non-evictable infrastructure). Demoting it to
+  // kGeneric puts the verbatim template in the cells (the layered baseline);
+  // geometry and pin changes then re-emit nothing until it is promoted.
+  SpecId steering_spec() const { return steer_spec_; }
   uint32_t steering_generation() const { return steer_gen_; }
   BlockId generic_steering() const { return steer_generic_; }
-  BlockId synthesized_steering() const { return steer_synth_; }
-  BlockId active_steering() const {
-    return config_.synthesized_steering ? steer_synth_ : steer_generic_;
-  }
+  BlockId active_steering() const { return steer_active_; }
+  // The pool descriptor the steering template reads (layout below).
+  Addr descriptor() const { return desc_; }
 
   // --- Overload armor --------------------------------------------------------
   // Control-plane classification for prioritized shedding, matching the
@@ -164,8 +154,11 @@ class NicPool {
   static constexpr uint32_t kShedBitmapBytes = 65536 / 8;
 
   // The active early-drop filter (kInvalidBlock if none could be emitted;
-  // benches time it directly).
+  // benches time it directly), its verbatim kGeneric tier, and the handle
+  // (kBadSpec without admission control).
   BlockId shed_filter() const { return shed_filter_; }
+  BlockId generic_shed_filter() const { return generic_shed_; }
+  SpecId shed_spec() const { return shed_spec_; }
   bool shedding() const { return shedding_; }
   // 0 = off, 1 = unknown-port drop, 2 = + bulk-data drop (control passes).
   uint32_t shed_level() const { return shed_level_; }
@@ -246,7 +239,7 @@ class NicPool {
     uint32_t owner = 0;   // NIC index the flow is currently bound on
   };
 
-  // Descriptor layout (simulated memory, read by the generic steering loop):
+  // Descriptor layout (simulated memory, read by the steering template):
   //   [0]                       live NIC count
   //   [4 .. 4+4*kMaxNics)       inner demux cell address per NIC
   //   [kPinCountOff]            live pin count
@@ -259,24 +252,25 @@ class NicPool {
       kPinBaseOff + kMaxPins * kPinEntryBytes;
 
   void AppendNic();
-  void WriteDescriptor();   // N + cell table + pin table, for the generic loop
+  void WriteDescriptor();   // N + cell table + pin table
+  // The steering and shed-filter templates: verbatim they are the kGeneric
+  // tiers, specialized they are the kSpecialized ones.
+  CodeTemplate SteeringTemplate() const;
+  CodeTemplate ShedTemplate() const;
   // Re-specialization entry points. Each registers a Specializer handle on
   // first use and routes every later change through Reemit: the Specializer
   // emits via the Build* callback, retires the displaced block, and the
   // Install* callback mirrors the outcome into the pool's cells.
   void EmitSteering();      // re-emits the specialized steering block
   void EmitDispatch();      // re-emits the rx/tx payload-untag compare chains
-  void EmitShedFilter();    // re-emits the early-drop filter (set + level)
+  void RegisterShedFilter();
   BlockId BuildSteering();
-  void InstallSteering(BlockId blk, SpecTier tier, bool refused);
   BlockId BuildRxDispatch();
   BlockId BuildTxDispatch();
-  void InstallRxDispatch(BlockId blk, SpecTier tier, bool refused);
-  void InstallTxDispatch(BlockId blk, SpecTier tier, bool refused);
+  void InstallRxDispatch(BlockId blk, bool refused);
+  void InstallTxDispatch(BlockId blk, bool refused);
   BlockId BuildShedFilter();
-  void InstallShedFilter(BlockId blk, SpecTier tier, bool refused);
-  void RefreshShedFilter(); // bind/unbind hook: re-emit only when the shape
-                            // changed (steady bitmap mode skips emission)
+  void InstallShedFilter(BlockId blk, SpecTier tier);
   void WriteShedBit(uint16_t port, bool on);
   void WriteShedLevel();    // mirrors shed_level_ into the sim word
   void EnterShedLevel(uint32_t lvl);
@@ -288,16 +282,16 @@ class NicPool {
   Kernel& kernel_;
   NicPoolConfig config_;
   std::vector<std::unique_ptr<NicDevice>> nics_;
-  // Bound flows in bind order (the order steering and the shed chain emit
-  // them in), indexed by port; pinned_ counts the pinned ones.
+  // Bound flows in bind order (the order the pin table lists them in),
+  // indexed by port; pinned_ counts the pinned ones.
   using BindingList = std::list<std::pair<uint16_t, Binding>>;
   BindingList bindings_;
   std::unordered_map<uint16_t, BindingList::iterator> by_port_;
   uint32_t pinned_ = 0;
 
   Addr desc_ = 0;
-  BlockId steer_generic_ = kInvalidBlock;   // installed once, never a handle
-  BlockId steer_synth_ = kInvalidBlock;     // mirror of the steering handle
+  BlockId steer_generic_ = kInvalidBlock;   // the handle's verbatim fallback
+  BlockId steer_active_ = kInvalidBlock;    // mirror of the steering handle
   SpecId steer_spec_ = kBadSpec;
   uint32_t steer_gen_ = 0;
 
@@ -316,14 +310,14 @@ class NicPool {
   Addr steer_cell_ = 0;
   Addr shed_ctr_ = 0;
   Addr shed_data_ctr_ = 0;
-  Addr shed_level_word_ = 0;  // read by the interpreted filter baseline
+  Addr shed_level_word_ = 0;  // mirrors shed_level_; kSpecialized folds it
   Addr shed_bitmap_ = 0;      // bound-port bitmap (kShedBitmapBytes)
   Addr shed_mask_tab_ = 0;    // 32 words of 1<<i (the ISA has no var shift)
   BlockId shed_filter_ = kInvalidBlock;
-  BlockId generic_shed_ = kInvalidBlock;  // interpreted baseline, install-once
+  BlockId generic_shed_ = kInvalidBlock;  // the handle's verbatim fallback
   SpecId shed_spec_ = kBadSpec;
-  uint32_t pending_shed_level_ = 0;   // shape of the block BuildShedFilter
-  bool pending_shed_bitmap_ = false;  // just emitted, latched at install
+  // Whether the active filter folded level 2 (the class test in).
+  bool shed_folded_data_ = false;
   bool shedding_ = false;
   uint32_t shed_level_ = 0;
   uint64_t shed_engages_ = 0;
@@ -331,8 +325,6 @@ class NicPool {
   uint32_t shed_seen_ = 0;  // wrap-safe 32-bit mirror cursor of shed_ctr_
   uint32_t shed_data_seen_ = 0;
   uint32_t shed_gen_ = 0;
-  uint32_t shed_filter_level_ = 0;     // level shape of the emitted filter
-  bool shed_filter_is_bitmap_ = false;
   Gauge shed_gauge_;
   Gauge shed_data_gauge_;
 

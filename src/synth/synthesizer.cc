@@ -929,6 +929,11 @@ CodeBlock Synthesizer::Specialize(const CodeTemplate& tmpl, const Bindings& bind
         dus[idx] = DefUseOf(code[idx]);
         if (code[idx].op == Opcode::kRts || code[idx].op == Opcode::kHalt) {
           dus[idx].use = options.live_out;  // calling convention, not "everything"
+        } else if (code[idx].op == Opcode::kJmpInd) {
+          // A tail jump is a routine exit: its target starts where a return
+          // would, so it sees live_out plus the jump register, and no
+          // condition codes.
+          dus[idx].use = options.live_out | RegBit(code[idx].rs);
         }
       }
       const std::vector<uint32_t> live = SolveLiveness(code, dus, options.live_out);

@@ -92,8 +92,10 @@ struct SynthesisOptions {
   int max_inline_depth = 6;
   int max_passes = 12;
 
-  // Calling convention: registers still meaningful when the routine returns.
-  // Dead-code elimination may delete writes to any register outside this mask.
+  // Calling convention: registers still meaningful when the routine returns
+  // or tail-jumps (kJmpInd) to another routine, which must then read nothing
+  // else the routine wrote. Dead-code elimination may delete writes to any
+  // register outside this mask.
   // Default: d0 (the result register) and a7 (the stack pointer).
   uint32_t live_out = (1u << 0) | (1u << 15);
 

@@ -69,9 +69,11 @@ Outcome RunScenario(bool batch, bool synth, uint32_t fixed_len, Faults f,
   pc.nic.reorder_rate = f.reorder;
   pc.nic.duplicate_rate = f.duplicate;
   pc.nic.fault_seed = 77;
-  pc.nic.synthesized_demux = synth;
   NicPool pool(k, pc);
   NicDevice& nic = pool.nic(0);
+  if (!synth) {
+    k.spec().Demote(nic.demux().head_spec(), SpecTier::kGeneric);
+  }
 
   auto ring = io.MakeRing(16384);
   EXPECT_TRUE(pool.BindFlow(FlowSpec::Ring(7, ring, fixed_len)));
@@ -145,14 +147,6 @@ TEST(BatchRxTest, OneBurstOneDispatch) {
   EXPECT_EQ(o.batch_frames, 4u);
   EXPECT_EQ(o.batch_dispatches, 1u)
       << "simultaneous completions must share one interrupt entry";
-}
-
-TEST(BatchRxTest, GenericBatchLoopMatchesSynthesized) {
-  Outcome gen = RunScenario(true, false, 16, Faults{}, 12);
-  Outcome syn = RunScenario(true, true, 16, Faults{}, 12);
-  EXPECT_TRUE(gen.SameDeliveryAs(syn));
-  EXPECT_EQ(gen.batch_dispatches, syn.batch_dispatches)
-      << "the loop implementations differ in cost only, not in batching";
 }
 
 TEST(BatchRxTest, NoBatchFlowFiresAtArrivalNotAtWindowClose) {

@@ -1,6 +1,6 @@
 // TX-path tests, the transmit mirror of batch_rx_test: batched-vs-per-frame
-// parity (same wire output, same gauges) across generic/synthesized retire
-// loops and wire-fault schedules, burst doorbell amortization, exact
+// parity (same wire output, same gauges) across generic/synthesized demux
+// heads and wire-fault schedules, burst doorbell amortization, exact
 // tx_inflight accounting under injected interrupt bursts, ring-full
 // backpressure (nothing lost: deferred ACK replay from the drain hook,
 // parked senders), keepalive probes blocked by TX congestion never counting
@@ -134,9 +134,11 @@ TxOutcome RunTxScenario(bool batch, bool synth, TxFaults f, int frames) {
   pc.nic.reorder_rate = f.reorder;
   pc.nic.duplicate_rate = f.duplicate;
   pc.nic.fault_seed = 77;
-  pc.nic.synthesized_demux = synth;
   NicPool pool(k, pc);
   NicDevice& nic = pool.nic(0);
+  if (!synth) {
+    k.spec().Demote(nic.demux().head_spec(), SpecTier::kGeneric);
+  }
 
   auto ring = io.MakeRing(16384);
   EXPECT_TRUE(pool.BindFlow(FlowSpec::Ring(7, ring)));
@@ -222,14 +224,6 @@ TEST(BatchTxTest, ReorderAndDupSchedulesDeliverTheSameBytesAndGauges) {
       EXPECT_GT(per_frame.delivered, 0u) << "vacuous schedule " << s;
     }
   }
-}
-
-TEST(BatchTxTest, GenericTxRetireLoopMatchesSynthesized) {
-  TxOutcome gen = RunTxScenario(true, false, TxFaults{}, 12);
-  TxOutcome syn = RunTxScenario(true, true, TxFaults{}, 12);
-  EXPECT_TRUE(gen.SameDeliveryAs(syn));
-  EXPECT_EQ(gen.batch_dispatches, syn.batch_dispatches)
-      << "the retire loops differ in cost only, not in batching";
 }
 
 TEST(BatchTxTest, OneTxBurstOneDispatch) {

@@ -375,10 +375,13 @@ TEST_F(NetTest, BindCostAndFramePathAreIndependentOfFlowCount) {
 
 TEST_F(NetTest, DemuxCellSwapsImplementationWithoutRebinding) {
   auto ring = BindRing(7);
-  nic_.UseSynthesizedDemux(false);
+  const SpecId head = nic_.demux().head_spec();
+  ASSERT_TRUE(k_.spec().Demote(head, SpecTier::kGeneric));
+  ASSERT_EQ(nic_.demux().synthesized_demux(), nic_.demux().generic_demux());
   ASSERT_TRUE(Send(7, 1, "generic"));
   k_.Run();
-  nic_.UseSynthesizedDemux(true);
+  ASSERT_TRUE(k_.spec().Promote(head, SpecTier::kSpecialized));
+  ASSERT_NE(nic_.demux().synthesized_demux(), nic_.demux().generic_demux());
   ASSERT_TRUE(Send(7, 1, "synth"));
   k_.Run();
   EXPECT_EQ(nic_.demux().delivered(7), 2u);

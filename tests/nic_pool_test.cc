@@ -1,7 +1,9 @@
 // NicPool tests: the host steering hash vs the emitted steering blocks
-// (generic loop and specialized shift+mask, power-of-two and not), flow
-// migration + steering re-synthesis when the pool grows, the tagged interrupt
-// dispatch, and a live stream connection surviving AddNic mid-transfer.
+// (the template's verbatim kGeneric tier and its kSpecialized tier, power-of-
+// two and not, with and without pins), flow migration + steering
+// re-synthesis when the pool grows, the tagged interrupt dispatch, a live
+// stream connection surviving AddNic mid-transfer, and the overload armor's
+// shed filter at both tiers, including its refusal fallback.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -58,24 +60,23 @@ TEST(NicPoolTest, EmittedSteeringAgreesWithHostHashAtEveryPoolSize) {
       const uint32_t owner = pool.SteerOf(port);
       ASSERT_LT(owner, n);
       uint64_t before = pool.nic(owner).demux().delivered_total();
-      // Both steering implementations must deliver through the owner's demux.
+      // Both steering tiers must deliver through the owner's demux.
       EXPECT_EQ(CallWithFrame(k, pool.generic_steering(), frame, port, "gen"),
                 1u)
           << "n=" << n << " port=" << port;
-      EXPECT_EQ(
-          CallWithFrame(k, pool.synthesized_steering(), frame, port, "syn"),
-          1u)
+      EXPECT_EQ(CallWithFrame(k, pool.active_steering(), frame, port, "syn"),
+                1u)
           << "n=" << n << " port=" << port;
       EXPECT_EQ(pool.nic(owner).demux().delivered_total(), before + 2)
           << "n=" << n << " port=" << port
           << ": the frame must land on the NIC the host hash names";
       EXPECT_EQ(io.RingAvail(*rings[i]), 2 * (4u + 3u))
-          << "two delivery records, one per steering implementation";
+          << "two delivery records, one per steering tier";
     }
     // An unbound port falls through every demux to the no-match verdict.
     EXPECT_EQ(CallWithFrame(k, pool.generic_steering(), frame, 1234, "x"),
               static_cast<uint32_t>(-2));
-    EXPECT_EQ(CallWithFrame(k, pool.synthesized_steering(), frame, 1234, "x"),
+    EXPECT_EQ(CallWithFrame(k, pool.active_steering(), frame, 1234, "x"),
               static_cast<uint32_t>(-2));
   }
 }
@@ -97,12 +98,12 @@ TEST(NicPoolTest, GrowReSynthesizesSteeringAndMigratesMovedFlows) {
   ASSERT_EQ(pool.SteerOf(81), 0u);
 
   const uint32_t gen_before = pool.steering_generation();
-  const BlockId steer_before = pool.synthesized_steering();
+  const BlockId steer_before = pool.active_steering();
   ASSERT_TRUE(pool.AddNic());
   ASSERT_EQ(pool.size(), 2u);
   EXPECT_GT(pool.steering_generation(), gen_before)
       << "a geometry change must re-emit the specialized steering";
-  EXPECT_NE(pool.synthesized_steering(), steer_before);
+  EXPECT_NE(pool.active_steering(), steer_before);
   EXPECT_EQ(pool.SteerOf(80), 0u);
   EXPECT_EQ(pool.SteerOf(81), 1u);
   EXPECT_TRUE(pool.nic(0).demux().HasFlow(80));
@@ -127,14 +128,14 @@ TEST(NicPoolTest, GrowReSynthesizesSteeringAndMigratesMovedFlows) {
   EXPECT_EQ(pool.rx_gauge().events(), 2u)
       << "member NICs count into the shared pool gauge";
 
-  // Growing to a non-power-of-two keeps both implementations in agreement.
+  // Growing to a non-power-of-two keeps both tiers in agreement.
   ASSERT_TRUE(pool.AddNic());
   ASSERT_EQ(pool.size(), 3u);
   Addr frame = k.allocator().Allocate(FrameLayout::kSlotBytes);
   for (uint16_t port : {80, 81}) {
     EXPECT_EQ(CallWithFrame(k, pool.generic_steering(), frame, port, "abc"),
               1u);
-    EXPECT_EQ(CallWithFrame(k, pool.synthesized_steering(), frame, port, "abc"),
+    EXPECT_EQ(CallWithFrame(k, pool.active_steering(), frame, port, "abc"),
               1u);
   }
 }
@@ -194,46 +195,10 @@ TEST(NicPoolTest, StreamConnectionSurvivesPoolGrowthMidTransfer) {
       << "the grow itself must not cost a retransmission on a clean wire";
 }
 
-TEST(NicPoolTest, GenericSteeringAblationCarriesAStreamEndToEnd) {
-  Kernel k;
-  IoSystem io(k, nullptr);
-  NicPoolConfig pc;
-  pc.initial_nics = 4;
-  pc.synthesized_steering = false;  // interpreted steering loop in the cells
-  NicPool pool(k, pc);
-  ASSERT_EQ(pool.active_steering(), pool.generic_steering());
-  StreamLayer st(k, io, pool);
-  Memory& mem = k.machine().memory();
-
-  ConnId srv = st.Listen(80);
-  ConnId cli = st.Connect(80);
-  k.Run();
-  ASSERT_EQ(st.StateOf(cli), CcbLayout::kEstablished);
-  Addr buf = k.allocator().Allocate(64);
-  mem.WriteBytes(buf, "steered", 7);
-  ASSERT_EQ(st.Send(cli, buf, 7), 7);
-  ASSERT_TRUE(st.Close(cli));
-  k.Run(10'000'000);
-  std::string got;
-  for (;;) {
-    int32_t n = st.Recv(srv, buf, 64);
-    if (n <= 0) {
-      break;
-    }
-    char tmp[64];
-    mem.ReadBytes(buf, tmp, static_cast<size_t>(n));
-    got.append(tmp, static_cast<size_t>(n));
-  }
-  EXPECT_EQ(got, "steered");
-  ASSERT_TRUE(st.Close(srv));
-  k.Run(10'000'000);
-  EXPECT_EQ(st.StateOf(srv), CcbLayout::kDone);
-}
-
 // A connection flow opened with pin_to_nic lands on the NIC the (local, peer)
-// pair names — under both steering implementations (the synthesized pin
-// compare chain and the generic descriptor pin-table walk), at pool sizes on
-// and off the power-of-two fast path.
+// pair names — under both steering tiers (the specialized block, and the
+// verbatim template after Demote), carrying a whole stream conversation, at
+// pool sizes on and off the power-of-two fast path.
 TEST(NicPoolTest, PinnedConnectionRoutesToPinNicUnderBothSteerings) {
   for (uint32_t n : {2u, 4u}) {
     for (bool synth : {true, false}) {
@@ -241,8 +206,11 @@ TEST(NicPoolTest, PinnedConnectionRoutesToPinNicUnderBothSteerings) {
       IoSystem io(k, nullptr);
       NicPoolConfig pc;
       pc.initial_nics = n;
-      pc.synthesized_steering = synth;
       NicPool pool(k, pc);
+      if (!synth) {
+        ASSERT_TRUE(k.spec().Demote(pool.steering_spec(), SpecTier::kGeneric));
+        ASSERT_EQ(pool.active_steering(), pool.generic_steering());
+      }
       StreamLayer st(k, io, pool);
       Memory& mem = k.machine().memory();
 
@@ -265,6 +233,9 @@ TEST(NicPoolTest, PinnedConnectionRoutesToPinNicUnderBothSteerings) {
       ASSERT_NE(srv, kBadConn);
       ASSERT_NE(cli, kBadConn);
       ASSERT_EQ(st.PortOf(cli), local);
+      EXPECT_EQ(pool.active_steering() == pool.generic_steering(), !synth)
+          << "a pin re-emits the specialized tier only; a demoted handle "
+             "stays on the verbatim one";
       const uint32_t pin = pool.PinSteerOf(local, 80);
       EXPECT_EQ(pool.OwnerOf(local), pin) << "n=" << n << " synth=" << synth;
       EXPECT_TRUE(pool.nic(pin).demux().HasFlow(local));
@@ -506,10 +477,9 @@ TEST(NicPoolTest, ShedEscalationAdmitsControlShedsData) {
   EXPECT_EQ(pool.shed_level(), 0u);
 }
 
-// At connection scale the compare chain gives way to the bitmap variant:
-// past shed_chain_max bound ports, membership is a bit test and connection
-// churn is a data write — bind/unbind stops re-emitting the filter entirely.
-TEST(NicPoolTest, BitmapVariantBindsWithoutReemissionAndFiltersByBit) {
+// Membership is a bound-port bitmap: bind and unbind flip a bit and never
+// re-emit the filter, whatever the number of bound ports.
+TEST(NicPoolTest, ShedFilterBindsAndUnbindsByBitWithoutReemission) {
   Kernel k;
   IoSystem io(k, nullptr);
   NicPoolConfig pc;
@@ -517,23 +487,16 @@ TEST(NicPoolTest, BitmapVariantBindsWithoutReemissionAndFiltersByBit) {
   pc.admission_control = true;
   pc.shed_high_watermark = 4;
   pc.shed_low_watermark = 1;
-  pc.shed_chain_max = 2;
   NicPool pool(k, pc);
+  const BlockId filter = pool.shed_filter();
+  ASSERT_NE(filter, kInvalidBlock);
+  ASSERT_NE(filter, pool.generic_shed_filter());
   std::vector<std::shared_ptr<RingHost>> rings;
-  for (uint16_t port : {80, 81}) {
-    rings.push_back(io.MakeRing(4096));
+  for (uint16_t port = 80; port < 120; port++) {
+    rings.push_back(io.MakeRing(1024));
     ASSERT_TRUE(pool.BindFlow(FlowSpec::Ring(port, rings.back())));
   }
-  const BlockId chain = pool.shed_filter();
-  rings.push_back(io.MakeRing(4096));
-  ASSERT_TRUE(pool.BindFlow(FlowSpec::Ring(82, rings.back())));
-  const BlockId bitmap = pool.shed_filter();
-  EXPECT_NE(bitmap, chain) << "crossing shed_chain_max switches variants";
-
-  rings.push_back(io.MakeRing(4096));
-  ASSERT_TRUE(pool.BindFlow(FlowSpec::Ring(83, rings.back())));
-  EXPECT_EQ(pool.shed_filter(), bitmap)
-      << "steady bitmap mode: a bind is one bit write, no re-emission";
+  EXPECT_EQ(pool.shed_filter(), filter) << "a bind is one bit write";
 
   // Drive the filter block directly: bound ports fall through to steering
   // and deliver; an unknown port dies with the no-match verdict.
@@ -546,48 +509,222 @@ TEST(NicPoolTest, BitmapVariantBindsWithoutReemissionAndFiltersByBit) {
   // the filter itself (the early-shed counter proves it never reached the
   // demux's own no-match path).
   ASSERT_TRUE(pool.UnbindFlow(82));
-  EXPECT_EQ(pool.shed_filter(), bitmap);
+  EXPECT_EQ(pool.shed_filter(), filter);
   EXPECT_EQ(CallWithFrame(k, pool.shed_filter(), frame, 82, "xx"),
             static_cast<uint32_t>(-2));
   EXPECT_EQ(pool.Aggregate().early_sheds, 2u);
 }
 
-// Ablation: the interpreted baseline filter is installed once and never
-// re-emitted — binds are bitmap writes, level changes are one word store —
-// yet it sheds the same traffic the synthesized variants do.
-TEST(NicPoolTest, InterpretedShedBaselineShedsWithoutReemission) {
+// A probe per NIC in place of its demux: returns d0 = 100 + the NIC index,
+// so a steering or shed block called directly reports where it went.
+void InstallNicProbes(Kernel& k, NicPool& pool) {
+  for (uint32_t i = 0; i < pool.size(); i++) {
+    Asm a("probe" + std::to_string(i));
+    a.MoveI(kD0, static_cast<int32_t>(100 + i));
+    a.Rts();
+    const BlockId probe = k.code().Install(a.Build().block);
+    ASSERT_NE(probe, kInvalidBlock);
+    k.machine().memory().Write32(pool.nic(i).inner_cell_addr(),
+                                 static_cast<uint32_t>(probe));
+  }
+}
+
+// Writes a frame for (dst, src) whose length and flags word cover the shapes
+// the level-2 class test tells apart, calls `blk`, and returns d0.
+uint32_t CallShaped(Kernel& k, BlockId blk, Addr frame, uint16_t dst,
+                    uint16_t src, uint32_t len, uint32_t flags) {
+  std::vector<uint8_t> p(len, 0x5A);
+  if (len >= StreamSeg::kHdrBytes) {
+    std::memcpy(p.data() + StreamSeg::kFlags, &flags, 4);
+  }
+  WriteFrame(k.machine().memory(), frame, dst, src, p.data(), len);
+  k.machine().set_reg(kA1, frame);
+  RunResult rr = k.kexec().Call(blk);
+  EXPECT_EQ(rr.outcome, RunOutcome::kReturned);
+  return k.machine().reg(kD0);
+}
+
+// The steering and shed-filter tiers are one template bound two ways, so
+// on any frame they must agree: the same NIC (the one the host twin
+// RouteOf names), the same drop verdict, the same counters bumped. Random
+// frames at every pool size, with and without pins, at both shed levels.
+TEST(NicPoolTest, GenericAndSpecializedTiersAgreeOnRandomFrames) {
+  std::mt19937 rng(15);
+  for (uint32_t n = 1; n <= NicPool::kMaxNics; n++) {
+    for (bool pins : {false, true}) {
+      Kernel k;
+      IoSystem io(k, nullptr);
+      NicPoolConfig pc;
+      pc.initial_nics = n;
+      pc.admission_control = true;
+      pc.shed_high_watermark = 4;
+      pc.shed_low_watermark = 1;
+      pc.shed_data_watermark = 8;
+      NicPool pool(k, pc);
+      std::vector<uint16_t> ports;
+      std::vector<uint16_t> peers;
+      for (uint32_t f = 0; f < 12; f++) {
+        FlowSpec spec = FlowSpec::Ring(static_cast<uint16_t>(rng() % 65536),
+                                       io.MakeRing(256));
+        spec.pin = pins && f % 2 == 0;
+        spec.pin_peer = static_cast<uint16_t>(rng() % 65536);
+        if (pool.HasFlow(spec.port)) {
+          continue;
+        }
+        ASSERT_TRUE(pool.BindFlow(spec));
+        ports.push_back(spec.port);
+        peers.push_back(spec.pin_peer);
+      }
+      const BlockId steer_gen = pool.generic_steering();
+      const BlockId steer_spec = pool.active_steering();
+      ASSERT_NE(steer_spec, steer_gen);
+      Addr frame = k.allocator().Allocate(FrameLayout::kSlotBytes);
+
+      for (uint32_t level : {1u, 2u}) {
+        pool.NoteRxDepth(level == 1 ? pc.shed_high_watermark
+                                    : pc.shed_data_watermark);
+        ASSERT_EQ(pool.shed_level(), level);
+        InstallNicProbes(k, pool);  // after the level change repointed cells
+        const BlockId shed_gen = pool.generic_shed_filter();
+        const BlockId shed_spec = pool.shed_filter();
+        ASSERT_NE(shed_spec, shed_gen) << "n=" << n << " level=" << level;
+        for (int i = 0; i < 200; i++) {
+          const size_t b = rng() % ports.size();
+          const bool bound = rng() % 4 != 0;
+          const uint16_t dst =
+              bound ? ports[b] : static_cast<uint16_t>(rng() % 65536);
+          const uint16_t src =
+              rng() % 2 == 0 ? peers[b] : static_cast<uint16_t>(rng() % 65536);
+          const uint32_t len = rng() % 24;
+          const uint32_t flags = rng() % 16;
+          const std::string at = "n=" + std::to_string(n) +
+                                 " pins=" + std::to_string(pins) +
+                                 " level=" + std::to_string(level) +
+                                 " dst=" + std::to_string(dst) +
+                                 " src=" + std::to_string(src);
+          const uint32_t route = 100 + pool.RouteOf(dst, src);
+          EXPECT_EQ(CallShaped(k, steer_gen, frame, dst, src, len, flags),
+                    route)
+              << at;
+          EXPECT_EQ(CallShaped(k, steer_spec, frame, dst, src, len, flags),
+                    route)
+              << at;
+          NicPool::AggregateStats before = pool.Aggregate();
+          const uint32_t gen = CallShaped(k, shed_gen, frame, dst, src, len,
+                                          flags);
+          NicPool::AggregateStats mid = pool.Aggregate();
+          const uint32_t spec = CallShaped(k, shed_spec, frame, dst, src, len,
+                                           flags);
+          NicPool::AggregateStats after = pool.Aggregate();
+          ASSERT_EQ(gen, spec) << at;
+          ASSERT_TRUE(gen == route || gen == static_cast<uint32_t>(-2)) << at;
+          EXPECT_EQ(mid.early_sheds - before.early_sheds,
+                    after.early_sheds - mid.early_sheds)
+              << at;
+          EXPECT_EQ(mid.data_sheds - before.data_sheds,
+                    after.data_sheds - mid.data_sheds)
+              << at;
+          EXPECT_EQ(mid.early_sheds - before.early_sheds,
+                    pool.HasFlow(dst) ? 0u : 1u)
+              << at;
+        }
+      }
+      EXPECT_GT(pool.Aggregate().data_sheds, 0u) << "level 2 never shed data";
+    }
+  }
+}
+
+// With no pins the kSpecialized steering tier folds to exactly the block the
+// hand emitter used to write: the hash, one mask at a power of two (9
+// instructions) or the subtract loop with N as an immediate, and the tail
+// jump through the cell table.
+TEST(NicPoolTest, NoPinSpecializedSteeringIsTheFoldedHandBlock) {
+  for (uint32_t n = 1; n <= NicPool::kMaxNics; n++) {
+    Kernel k;
+    NicPoolConfig pc;
+    pc.initial_nics = n;
+    NicPool pool(k, pc);
+    Asm a("want");
+    a.Load32(kD0, kA1, FrameLayout::kDstPort);
+    a.Move(kD7, kD0);
+    a.LsrI(kD7, 8);
+    a.Xor(kD0, kD7);
+    if ((n & (n - 1)) == 0) {
+      a.AndI(kD0, static_cast<int32_t>(n - 1));
+    } else {
+      a.AndI(kD0, 255);
+      a.Label("mod");
+      a.CmpI(kD0, static_cast<int32_t>(n));
+      a.Blt("done");
+      a.SubI(kD0, static_cast<int32_t>(n));
+      a.Bra("mod");
+      a.Label("done");
+    }
+    a.LoadIdx32(kD7, kD0, static_cast<int32_t>(pool.descriptor() + 4));
+    a.Move(kA2, kD7);
+    a.Load32(kD7, kA2, 0);
+    a.JmpInd(kD7);
+    const std::vector<Instr> want = a.Build().block.code;
+    EXPECT_EQ(k.code().Get(pool.active_steering()).code, want) << "n=" << n;
+    if ((n & (n - 1)) == 0) {
+      EXPECT_EQ(want.size(), 9u);
+    }
+  }
+}
+
+// A refused re-emit at a level change falls back to the verbatim tier, which
+// reads the level word and the bitmap per frame: the pool keeps shedding, and
+// the drops are counted. The degraded handle retries at the next level
+// change, which installs the specialized filter again.
+TEST(NicPoolTest, RefusedShedReemitKeepsSheddingThroughTheGenericTier) {
   Kernel k;
   IoSystem io(k, nullptr);
   NicPoolConfig pc;
   pc.initial_nics = 1;
   pc.admission_control = true;
-  pc.synthesized_shed = false;
   pc.shed_high_watermark = 4;
   pc.shed_low_watermark = 1;
   pc.shed_data_watermark = 8;
   NicPool pool(k, pc);
   auto ring = io.MakeRing(4096);
   ASSERT_TRUE(pool.BindFlow(FlowSpec::Ring(80, ring)));
-  const BlockId base = pool.shed_filter();
-  ASSERT_NE(base, kInvalidBlock);
 
+  // One level-2 cycle leaves the class test folded into the filter, so the
+  // next level-1 engage must re-emit it.
+  pool.NoteRxDepth(pc.shed_data_watermark);
+  ASSERT_EQ(pool.shed_level(), 2u);
+  pool.NoteRxDepth(0);
+  ASSERT_FALSE(pool.shedding());
+
+  FaultTrigger always;
+  always.every_nth = 1;
+  k.faults().Arm(FaultSite::kCodeInstall, always);
   const uint8_t msg[] = {'x', 'y'};
-  for (int i = 0; i < 8; i++) {
+  for (int i = 0; i < 6; i++) {
     pool.InjectRaw(999, 9001, msg, 2, FrameChecksum(999, 9001, msg, 2), 2);
   }
-  EXPECT_EQ(pool.shed_level(), 2u);
-  EXPECT_EQ(pool.shed_filter(), base)
-      << "the baseline reads the level word; escalation emits nothing";
-  InjectShapedSeg(pool, 80, 9001, StreamSeg::kFlagAck, 4);  // bulk: sheds
-  InjectShapedSeg(pool, 80, 9001, StreamSeg::kFlagAck, 0);  // pure ack: passes
+  k.faults().Disarm(FaultSite::kCodeInstall);
+  EXPECT_TRUE(pool.shedding()) << "a refused re-emit must not drop the armor";
+  EXPECT_EQ(pool.shed_level(), 1u);
+  EXPECT_EQ(pool.shed_filter(), pool.generic_shed_filter());
+  EXPECT_TRUE(k.spec().DegradedOf(pool.shed_spec()));
+  InjectShapedSeg(pool, 80, 9001, StreamSeg::kFlagAck, 4);  // level 1: passes
 
   k.Run();
   NicPool::AggregateStats agg = pool.Aggregate();
-  EXPECT_EQ(agg.early_sheds, 8u);
-  EXPECT_EQ(agg.data_sheds, 1u);
+  EXPECT_EQ(agg.early_sheds, 6u)
+      << "every junk frame dies in the generic filter";
+  EXPECT_EQ(pool.shed_gauge().events(), 6u);
+  EXPECT_EQ(agg.data_sheds, 0u);
   EXPECT_EQ(agg.delivered, 1u);
   EXPECT_FALSE(pool.shedding());
-  EXPECT_EQ(pool.shed_filter(), base);
+
+  // Disarmed: the next level change installs the specialized filter again.
+  pool.NoteRxDepth(pc.shed_high_watermark);
+  ASSERT_TRUE(pool.shedding());
+  EXPECT_NE(pool.shed_filter(), pool.generic_shed_filter());
+  EXPECT_FALSE(k.spec().DegradedOf(pool.shed_spec()));
+  EXPECT_EQ(k.spec().TierOf(pool.shed_spec()), SpecTier::kSpecialized);
 }
 
 TEST(NicPoolDeathTest, BadShedWatermarksAbortLoudly) {

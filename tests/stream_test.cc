@@ -330,7 +330,9 @@ TransferResult RunTransfer(const NicConfig& cfg, bool synth_demux,
   pc.initial_nics = 1;
   pc.nic = cfg;
   NicPool pool(k, pc);
-  pool.UseSynthesizedDemux(synth_demux);
+  if (!synth_demux) {
+    k.spec().Demote(pool.nic(0).demux().head_spec(), SpecTier::kGeneric);
+  }
   StreamLayer st(k, io, pool);
   StreamConfig scfg;
   scfg.rto_base_us = 3000;

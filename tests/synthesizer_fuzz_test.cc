@@ -45,8 +45,11 @@ constexpr Addr kInvBase = 0x4000;    // declared invariant
 constexpr uint32_t kInvWords = 32;
 
 // Generates a random straight-line-with-forward-branches template that only
-// touches [kDataBase, kDataBase+4K) and reads [kInvBase, +128).
-CodeTemplate RandomTemplate(std::mt19937& rng, int length, int id) {
+// touches [kDataBase, kDataBase+4K) and reads [kInvBase, +128). It ends in an
+// rts, or — one time in three when `tail` is a block — in a tail jump to
+// `tail`, which then returns for it.
+CodeTemplate RandomTemplate(std::mt19937& rng, int length, int id,
+                            BlockId tail = kInvalidBlock) {
   Asm a("fuzz" + std::to_string(id));
   std::uniform_int_distribution<int> op_pick(0, 11);
   std::uniform_int_distribution<int> reg_pick(0, 5);       // d0-d5
@@ -118,7 +121,12 @@ CodeTemplate RandomTemplate(std::mt19937& rng, int length, int id) {
   for (const std::string& l : labels) {
     a.Label(l);  // resolve any branch still dangling at the end
   }
-  a.Rts();
+  if (tail != kInvalidBlock && rng() % 3 == 0) {
+    a.MoveI(kD7, tail);
+    a.JmpInd(kD7);
+  } else {
+    a.Rts();
+  }
   return a.Build();
 }
 
@@ -141,8 +149,18 @@ TEST_P(SynthesizerFuzz, SpecializedEqualsVerbatim) {
   SynthesisOptions full;
   full.live_out = 0x3F | (1u << 15);  // d0-d5 results + sp
 
+  // A tail-jump target that reads live_out registers (and only those): the
+  // specializer must keep every write it depends on, and may drop the rest.
+  Asm tail("fuzz_tail");
+  tail.Add(kD0, kD1);
+  tail.Xor(kD2, kD3);
+  tail.StoreA32(static_cast<int32_t>(kDataBase + 4 * 63), kD4);
+  tail.Rts();
+  const BlockId tail_id = store.Install(tail.Build().block);
+
   for (int round = 0; round < 16; round++) {
-    CodeTemplate tmpl = RandomTemplate(rng, 24, GetParam() * 100 + round);
+    CodeTemplate tmpl =
+        RandomTemplate(rng, 24, GetParam() * 100 + round, tail_id);
     CodeBlock verbatim = synth.Specialize(tmpl, Bindings(), nullptr,
                                           SynthesisOptions::Disabled(), nullptr,
                                           "v" + std::to_string(round));
@@ -151,9 +169,11 @@ TEST_P(SynthesizerFuzz, SpecializedEqualsVerbatim) {
     BlockId vid = store.Install(verbatim);
     BlockId fid = store.Install(fast);
 
-    // Randomize initial registers and the mutable playground identically for
-    // both executions; compare registers d0-d5 and the playground after.
-    std::vector<uint32_t> seed_regs(6);
+    // Randomize initial registers (d6/d7 too, so a tail jump whose register
+    // write was deleted cannot reuse a stale target) and the mutable
+    // playground identically for both executions; compare registers d0-d5
+    // and the playground after.
+    std::vector<uint32_t> seed_regs(8);
     std::vector<uint32_t> seed_mem(64);
     for (auto& v : seed_regs) {
       v = rng();
@@ -163,7 +183,7 @@ TEST_P(SynthesizerFuzz, SpecializedEqualsVerbatim) {
     }
     auto run = [&](BlockId blk, std::vector<uint32_t>* regs_out,
                    std::vector<uint32_t>* mem_out) {
-      for (int r = 0; r < 6; r++) {
+      for (int r = 0; r < 8; r++) {
         m.set_reg(static_cast<uint8_t>(r), seed_regs[static_cast<size_t>(r)]);
       }
       for (uint32_t w = 0; w < 64; w++) {
@@ -854,7 +874,9 @@ TEST_P(StreamFaultScheduleFuzz, EveryFaultMixEndsDeliveredOrGracefullyFailed) {
     NicPoolConfig pc;
     pc.nic = cfg;
     NicPool pool(k, pc);
-    pool.UseSynthesizedDemux(rng() % 2 == 0);
+    if (rng() % 2 != 0) {
+      k.spec().Demote(pool.nic(0).demux().head_spec(), SpecTier::kGeneric);
+    }
     StreamLayer st(k, io, pool);
     StreamConfig scfg;
     scfg.rto_base_us = 3000;

@@ -188,6 +188,31 @@ TEST_F(SynthesizerTest, DeadCodeEliminated) {
   EXPECT_EQ(RunBlock(store_.Install(out)), 33u);
 }
 
+// A kJmpInd tail jump is a routine exit: its target sees live_out and the
+// jump register, nothing else. Selector residue (a dead MoveI/Tst pair)
+// before it is deleted; a live_out register the target reads is kept.
+TEST_F(SynthesizerTest, TailJumpKeepsLiveOutAndDropsResidue) {
+  Asm t("target");
+  t.Add(kD0, kD1).Rts();  // reads d1 from the jumping routine
+  const BlockId target = store_.Install(t.Build().block);
+  Asm a("t");
+  a.MoveI(kD1, 5);  // live_out: the target reads it
+  a.MoveI(kD2, 7);  // dead: only the Tst below reads it
+  a.Tst(kD2);       // dead: no condition codes cross a tail jump
+  a.MoveI(kD7, target);
+  a.JmpInd(kD7);
+  SynthesisOptions opts = opts_;
+  opts.live_out |= 1u << kD1;
+  CodeBlock out = synth_.Specialize(a.Build(), Bindings(), nullptr, opts);
+  ASSERT_EQ(out.code.size(), 3u);  // movei d1 ; movei d7 ; jmp (d7)
+  EXPECT_EQ(out.code[0], (Instr{Opcode::kMoveI, kD1, 0, 5}));
+  for (const Instr& in : out.code) {
+    EXPECT_NE(in.op, Opcode::kTst);
+    EXPECT_FALSE(in.op == Opcode::kMoveI && in.rd == kD2);
+  }
+  EXPECT_EQ(RunBlock(store_.Install(out), 10), 15u);
+}
+
 TEST_F(SynthesizerTest, StoresAreNeverRemoved) {
   Asm a("t");
   a.MoveI(kA0, 0x700).MoveI(kD1, 5).Store32(kA0, kD1, 0).Rts();
