@@ -113,7 +113,6 @@ class DiskScheduler {
   explicit DiskScheduler(DiskDevice& dev) : dev_(dev) {}
 
   void Submit(DiskRequest request);
-  size_t QueueDepth() const { return queue_.size(); }
 
   // Blocking convenience for synchronous metadata/cache fills: submits and
   // advances the virtual clock until the request completes (only valid when

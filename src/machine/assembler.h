@@ -86,17 +86,10 @@ class Asm {
   Asm& Store8(uint8_t base, uint8_t rs, ImmArg off = 0) {
     return Emit(Opcode::kStore8, base, rs, off);
   }
-  Asm& Store16(uint8_t base, uint8_t rs, ImmArg off = 0) {
-    return Emit(Opcode::kStore16, base, rs, off);
-  }
   Asm& Store32(uint8_t base, uint8_t rs, ImmArg off = 0) {
     return Emit(Opcode::kStore32, base, rs, off);
   }
-  Asm& LoadA8(uint8_t rd, ImmArg addr) { return Emit(Opcode::kLoadA8, rd, 0, addr); }
-  Asm& LoadA16(uint8_t rd, ImmArg addr) { return Emit(Opcode::kLoadA16, rd, 0, addr); }
   Asm& LoadA32(uint8_t rd, ImmArg addr) { return Emit(Opcode::kLoadA32, rd, 0, addr); }
-  Asm& StoreA8(ImmArg addr, uint8_t rs) { return Emit(Opcode::kStoreA8, 0, rs, addr); }
-  Asm& StoreA16(ImmArg addr, uint8_t rs) { return Emit(Opcode::kStoreA16, 0, rs, addr); }
   Asm& StoreA32(ImmArg addr, uint8_t rs) { return Emit(Opcode::kStoreA32, 0, rs, addr); }
   Asm& LoadIdx32(uint8_t rd, uint8_t index, ImmArg base) {
     return Emit(Opcode::kLoadIdx32, rd, index, base);
@@ -147,7 +140,6 @@ class Asm {
   Asm& SetVbr(uint8_t rs) { return Emit(Opcode::kSetVbr, 0, rs, 0); }
   Asm& Charge(ImmArg cycles) { return Emit(Opcode::kCharge, 0, 0, cycles); }
   Asm& Halt() { return Emit(Opcode::kHalt, 0, 0, 0); }
-  Asm& Nop() { return Emit(Opcode::kNop, 0, 0, 0); }
 
   // Resolve labels and return the template. The assembler is spent afterwards.
   CodeTemplate Build();

@@ -4,9 +4,10 @@ namespace synthesis {
 
 namespace {
 
-// Base cycles excluding data-memory references (those are added per ref).
-uint32_t BaseCycles(const Instr& instr, bool branch_taken) {
-  switch (instr.op) {
+// Base cycles excluding data-memory references (those are added per ref) and
+// the imm-scaled terms of ImmCycles.
+uint32_t BaseCycles(Opcode op, bool branch_taken) {
+  switch (op) {
     case Opcode::kNop:
       return 2;
     case Opcode::kMoveI:
@@ -78,13 +79,11 @@ uint32_t BaseCycles(const Instr& instr, bool branch_taken) {
       return 20;  // exception stack frame build + vector fetch
     case Opcode::kMovemSave:
     case Opcode::kMovemLoad:
-      // Microcoded multi-register move: small setup plus 1 cycle/register of
-      // sequencing; the per-register bus cycles are charged via MemRefs.
-      return 4 + static_cast<uint32_t>(instr.imm);
+      return 4;  // setup; the per-register terms are in ImmCycles/ImmRefs
     case Opcode::kSetVbr:
       return 8;
     case Opcode::kCharge:
-      return static_cast<uint32_t>(instr.imm);
+      return 0;  // all of it is imm (ImmCycles)
     case Opcode::kHalt:
       return 2;
     case Opcode::kNumOpcodes:
@@ -93,10 +92,9 @@ uint32_t BaseCycles(const Instr& instr, bool branch_taken) {
   return 2;
 }
 
-}  // namespace
-
-uint32_t CostModel::MemRefs(const Instr& instr) {
-  switch (instr.op) {
+// Data-memory references excluding the imm-scaled term of ImmRefs.
+uint32_t BaseRefs(Opcode op) {
+  switch (op) {
     case Opcode::kLoad8:
     case Opcode::kLoad16:
     case Opcode::kLoad32:
@@ -122,16 +120,40 @@ uint32_t CostModel::MemRefs(const Instr& instr) {
       return 2;  // read-modify-write bus cycle
     case Opcode::kTrap:
       return 4;  // exception frame
-    case Opcode::kMovemSave:
-    case Opcode::kMovemLoad:
-      return static_cast<uint32_t>(instr.imm);
     default:
       return 0;
   }
 }
 
-uint32_t CostModel::Cycles(const Instr& instr, bool branch_taken) const {
-  return BaseCycles(instr, branch_taken) + MemRefs(instr) * MemCycles();
+bool IsMovem(Opcode op) {
+  return op == Opcode::kMovemSave || op == Opcode::kMovemLoad;
+}
+
+// Memory references per unit of imm: a multi-register move makes one bus
+// cycle per register.
+uint32_t ImmRefs(Opcode op) { return IsMovem(op) ? 1 : 0; }
+
+// Cycles per unit of imm, excluding the memory references of ImmRefs: a
+// multi-register move is microcoded with 1 cycle/register of sequencing, and
+// kCharge charges imm cycles outright.
+uint32_t ImmCycles(Opcode op) { return IsMovem(op) || op == Opcode::kCharge ? 1 : 0; }
+
+}  // namespace
+
+CostModel::CostModel(MachineConfig config) : config_(config) {
+  for (size_t i = 0; i < table_.size(); i++) {
+    const Opcode op = static_cast<Opcode>(i);
+    OpCost& c = table_[i];
+    c.refs = BaseRefs(op);
+    c.cycles = BaseCycles(op, false) + c.refs * MemCycles();
+    c.taken_cycles = BaseCycles(op, true) + c.refs * MemCycles();
+    c.imm_refs = ImmRefs(op);
+    c.imm_cycles = ImmCycles(op) + c.imm_refs * MemCycles();
+  }
+}
+
+uint32_t CostModel::MemRefs(const Instr& instr) {
+  return BaseRefs(instr.op) + static_cast<uint32_t>(instr.imm) * ImmRefs(instr.op);
 }
 
 }  // namespace synthesis

@@ -10,10 +10,18 @@
 // multi-register MOVEM amortized per register, exceptions ~20 clocks). The
 // anchor points used for calibration are the paper's own numbers: an 11 µs
 // full context switch, a 3 µs A/D interrupt, and the 11-instruction MP-SC
-// Q_put path; see tests/machine/cost_model_test.cc.
+// Q_put path. tests/machine_test.cc (CostTableMatchesTheCalibratedModel)
+// pins every opcode's price.
+//
+// An instruction's cost depends only on its opcode, the branch outcome and,
+// for kMovemSave/kMovemLoad/kCharge, its imm field. The constructor folds the
+// wait states into a per-opcode table once, so the executor charges an
+// instruction with one table lookup (Factoring Invariants applied to the
+// simulator: the configuration never changes after the machine is built).
 #ifndef SRC_MACHINE_COST_MODEL_H_
 #define SRC_MACHINE_COST_MODEL_H_
 
+#include <array>
 #include <cstdint>
 
 #include "src/machine/instr.h"
@@ -30,18 +38,38 @@ struct MachineConfig {
   static MachineConfig NativeQuamachine() { return MachineConfig{50, 0}; }
 };
 
+// The cost of one opcode with memory-reference penalties included. An
+// instruction costs `cycles` (or `taken_cycles` for a taken branch) plus
+// `imm_cycles` per unit of its imm field, and performs `refs` plus `imm_refs`
+// per unit of imm memory references. The imm terms are non-zero only for
+// kMovemSave, kMovemLoad and kCharge.
+struct OpCost {
+  uint32_t cycles = 0;
+  uint32_t taken_cycles = 0;
+  uint32_t refs = 0;
+  uint32_t imm_cycles = 0;
+  uint32_t imm_refs = 0;
+};
+
 class CostModel {
  public:
-  explicit CostModel(MachineConfig config) : config_(config) {}
+  explicit CostModel(MachineConfig config);
 
   const MachineConfig& config() const { return config_; }
 
   // Cycles for one memory reference (bus cycle plus wait states).
   uint32_t MemCycles() const { return 2 + config_.wait_states; }
 
+  // The table entry for `op` (every uint8_t value has one).
+  const OpCost& Cost(Opcode op) const { return table_[static_cast<uint8_t>(op)]; }
+
   // Total cycle cost of executing `instr`. `branch_taken` matters only for
   // conditional branches. Includes memory-reference penalties.
-  uint32_t Cycles(const Instr& instr, bool branch_taken) const;
+  uint32_t Cycles(const Instr& instr, bool branch_taken) const {
+    const OpCost& c = Cost(instr.op);
+    return (branch_taken ? c.taken_cycles : c.cycles) +
+           static_cast<uint32_t>(instr.imm) * c.imm_cycles;
+  }
 
   // Number of data-memory references the instruction performs.
   static uint32_t MemRefs(const Instr& instr);
@@ -53,6 +81,7 @@ class CostModel {
 
  private:
   MachineConfig config_;
+  std::array<OpCost, 256> table_;
 };
 
 }  // namespace synthesis

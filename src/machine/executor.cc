@@ -63,72 +63,105 @@ void Executor::Start(BlockId entry) {
 
 RunResult Executor::Run(uint64_t max_steps) {
   RunResult r;
-  if (!active_) {
-    r.fault = FaultKind::kBadBlock;
-    return Finish(r, RunOutcome::kFault);
-  }
-  if (!store_.Valid(block_)) {
+  if (!active_ || !store_.Valid(block_)) {
     r.fault = FaultKind::kBadBlock;
     return Finish(r, RunOutcome::kFault);
   }
 
-  const CodeBlock* blk = &store_.Get(block_);
+  // The position and the current block's code live in locals; flush() stores
+  // the position back for Resume() and for a nested Call's save/restore.
+  BlockId block = kInvalidBlock;
+  uint32_t pc = 0;
+  const Instr* code = nullptr;
+  size_t code_len = 0;
+  auto enter = [&](BlockId b, uint32_t at) {
+    const CodeBlock& blk = store_.Get(b);
+    block = b;
+    pc = at;
+    code = blk.code.data();
+    code_len = blk.code.size();
+  };
+  enter(block_, pc_);
   const CostModel& cost = machine_.cost_model();
+  // Tracing can change only while host code runs: re-read after each trap.
+  bool tracing = machine_.tracing();
 
-  auto charge = [&](const Instr& in, bool taken) {
-    uint32_t c = cost.Cycles(in, taken);
-    uint32_t refs = CostModel::MemRefs(in);
-    machine_.Charge(c, 1, refs);
-    r.instructions++;
-    r.cycles += c;
-    r.mem_refs += refs;
+  // Running totals of this Run. `r` holds the part already charged to the
+  // Machine; flush() charges the rest. It runs before every trap handler and
+  // on every exit, the only points where host code can read the clock.
+  uint64_t steps = 0;
+  uint64_t cycles = 0;
+  uint64_t refs = 0;
+  auto flush = [&] {
+    block_ = block;
+    pc_ = pc;
+    machine_.Charge(cycles - r.cycles, steps - r.instructions, refs - r.mem_refs);
+    r.instructions = steps;
+    r.cycles = cycles;
+    r.mem_refs = refs;
+  };
+  auto charge = [&](const Instr& in) {
+    const OpCost& c = cost.Cost(in.op);
+    steps++;
+    cycles += c.cycles;
+    refs += c.refs;
+  };
+  // kMovemSave, kMovemLoad and kCharge add imm-scaled terms, computed in
+  // 32 bits as CostModel::Cycles/MemRefs do.
+  auto charge_imm = [&](const Instr& in) {
+    const OpCost& c = cost.Cost(in.op);
+    const uint32_t n = static_cast<uint32_t>(in.imm);
+    steps++;
+    cycles += c.cycles + n * c.imm_cycles;
+    refs += c.refs + n * c.imm_refs;
+  };
+  auto finish = [&](RunOutcome outcome) {
+    flush();
+    return Finish(r, outcome);
   };
 
   auto fault = [&](FaultKind kind, Addr addr = 0) {
     r.fault = kind;
     r.fault_addr = addr;
-    return Finish(r, RunOutcome::kFault);
+    return finish(RunOutcome::kFault);
   };
 
-  while (r.instructions < max_steps) {
-    if (interrupt_poll_ && interrupt_poll_()) {
-      return Finish(r, RunOutcome::kInterrupted);
-    }
-    if (pc_ >= blk->code.size()) {
+  while (steps < max_steps) {
+    if (pc >= code_len) {
       // Falling off the end of a block behaves like kRts (implicit return).
       if (frames_.empty()) {
-        return Finish(r, RunOutcome::kReturned);
+        return finish(RunOutcome::kReturned);
       }
-      block_ = frames_.back().block;
-      pc_ = frames_.back().pc;
+      enter(frames_.back().block, frames_.back().pc);
       frames_.pop_back();
-      blk = &store_.Get(block_);
       continue;
     }
 
-    const Instr& in = blk->code[pc_];
-    if (machine_.tracing()) {
-      machine_.Record(block_, pc_, in);
+    const Instr& in = code[pc];
+    if (tracing) {
+      machine_.Record(block, pc, in);
     }
-    uint32_t next_pc = pc_ + 1;
+    uint32_t next_pc = pc + 1;
 
     switch (in.op) {
       case Opcode::kNop:
+        charge(in);
+        break;
       case Opcode::kCharge:
-        charge(in, false);
+        charge_imm(in);
         break;
 
       case Opcode::kMoveI:
         machine_.set_reg(in.rd, static_cast<uint32_t>(in.imm));
-        charge(in, false);
+        charge(in);
         break;
       case Opcode::kMove:
         machine_.set_reg(in.rd, machine_.reg(in.rs));
-        charge(in, false);
+        charge(in);
         break;
       case Opcode::kLea:
         machine_.set_reg(in.rd, machine_.reg(in.rs) + static_cast<uint32_t>(in.imm));
-        charge(in, false);
+        charge(in);
         break;
 
       case Opcode::kLoad8:
@@ -143,7 +176,7 @@ RunResult Executor::Run(uint64_t max_steps) {
                      : in.op == Opcode::kLoad16 ? machine_.memory().Read16(addr)
                                                 : machine_.memory().Read32(addr);
         machine_.set_reg(in.rd, v);
-        charge(in, false);
+        charge(in);
         break;
       }
       case Opcode::kStore8:
@@ -162,7 +195,7 @@ RunResult Executor::Run(uint64_t max_steps) {
         } else {
           machine_.memory().Write32(addr, v);
         }
-        charge(in, false);
+        charge(in);
         break;
       }
 
@@ -178,7 +211,7 @@ RunResult Executor::Run(uint64_t max_steps) {
                      : in.op == Opcode::kLoadA16 ? machine_.memory().Read16(addr)
                                                  : machine_.memory().Read32(addr);
         machine_.set_reg(in.rd, v);
-        charge(in, false);
+        charge(in);
         break;
       }
       case Opcode::kStoreA8:
@@ -197,7 +230,7 @@ RunResult Executor::Run(uint64_t max_steps) {
         } else {
           machine_.memory().Write32(addr, v);
         }
-        charge(in, false);
+        charge(in);
         break;
       }
       case Opcode::kLoadIdx32: {
@@ -206,7 +239,7 @@ RunResult Executor::Run(uint64_t max_steps) {
           return fault(FaultKind::kBusError, addr);
         }
         machine_.set_reg(in.rd, machine_.memory().Read32(addr));
-        charge(in, false);
+        charge(in);
         break;
       }
       case Opcode::kStoreIdx32: {
@@ -215,7 +248,7 @@ RunResult Executor::Run(uint64_t max_steps) {
           return fault(FaultKind::kBusError, addr);
         }
         machine_.memory().Write32(addr, machine_.reg(in.rd));
-        charge(in, false);
+        charge(in);
         break;
       }
 
@@ -226,7 +259,7 @@ RunResult Executor::Run(uint64_t max_steps) {
         }
         machine_.memory().Write32(sp, machine_.reg(in.rs));
         machine_.set_reg(kA7, sp);
-        charge(in, false);
+        charge(in);
         break;
       }
       case Opcode::kPop: {
@@ -236,70 +269,70 @@ RunResult Executor::Run(uint64_t max_steps) {
         }
         machine_.set_reg(in.rd, machine_.memory().Read32(sp));
         machine_.set_reg(kA7, sp + 4);
-        charge(in, false);
+        charge(in);
         break;
       }
 
       case Opcode::kAdd:
         machine_.set_reg(in.rd, machine_.reg(in.rd) + machine_.reg(in.rs));
-        charge(in, false);
+        charge(in);
         break;
       case Opcode::kAddI:
         machine_.set_reg(in.rd, machine_.reg(in.rd) + static_cast<uint32_t>(in.imm));
-        charge(in, false);
+        charge(in);
         break;
       case Opcode::kSub:
         machine_.set_reg(in.rd, machine_.reg(in.rd) - machine_.reg(in.rs));
-        charge(in, false);
+        charge(in);
         break;
       case Opcode::kSubI:
         machine_.set_reg(in.rd, machine_.reg(in.rd) - static_cast<uint32_t>(in.imm));
-        charge(in, false);
+        charge(in);
         break;
       case Opcode::kMulI:
         machine_.set_reg(in.rd, machine_.reg(in.rd) * static_cast<uint32_t>(in.imm));
-        charge(in, false);
+        charge(in);
         break;
       case Opcode::kAnd:
         machine_.set_reg(in.rd, machine_.reg(in.rd) & machine_.reg(in.rs));
-        charge(in, false);
+        charge(in);
         break;
       case Opcode::kAndI:
         machine_.set_reg(in.rd, machine_.reg(in.rd) & static_cast<uint32_t>(in.imm));
-        charge(in, false);
+        charge(in);
         break;
       case Opcode::kOr:
         machine_.set_reg(in.rd, machine_.reg(in.rd) | machine_.reg(in.rs));
-        charge(in, false);
+        charge(in);
         break;
       case Opcode::kOrI:
         machine_.set_reg(in.rd, machine_.reg(in.rd) | static_cast<uint32_t>(in.imm));
-        charge(in, false);
+        charge(in);
         break;
       case Opcode::kXor:
         machine_.set_reg(in.rd, machine_.reg(in.rd) ^ machine_.reg(in.rs));
-        charge(in, false);
+        charge(in);
         break;
       case Opcode::kLslI:
         machine_.set_reg(in.rd, machine_.reg(in.rd) << (in.imm & 31));
-        charge(in, false);
+        charge(in);
         break;
       case Opcode::kLsrI:
         machine_.set_reg(in.rd, machine_.reg(in.rd) >> (in.imm & 31));
-        charge(in, false);
+        charge(in);
         break;
 
       case Opcode::kCmp:
         machine_.SetCc(machine_.reg(in.rd), machine_.reg(in.rs));
-        charge(in, false);
+        charge(in);
         break;
       case Opcode::kCmpI:
         machine_.SetCc(machine_.reg(in.rd), static_cast<uint32_t>(in.imm));
-        charge(in, false);
+        charge(in);
         break;
       case Opcode::kTst:
         machine_.SetCc(machine_.reg(in.rd), 0);
-        charge(in, false);
+        charge(in);
         break;
 
       case Opcode::kBra:
@@ -311,11 +344,14 @@ RunResult Executor::Run(uint64_t max_steps) {
       case Opcode::kBle:
       case Opcode::kBhi:
       case Opcode::kBls: {
-        bool taken = in.op == Opcode::kBra ||
-                     EvalBranch(in.op, machine_.cc_lhs(), machine_.cc_rhs());
-        charge(in, taken);
-        if (taken) {
+        const OpCost& c = cost.Cost(in.op);
+        steps++;
+        if (in.op == Opcode::kBra ||
+            EvalBranch(in.op, machine_.cc_lhs(), machine_.cc_rhs())) {
+          cycles += c.taken_cycles;
           next_pc = static_cast<uint32_t>(in.imm);
+        } else {
+          cycles += c.cycles;
         }
         break;
       }
@@ -328,11 +364,9 @@ RunResult Executor::Run(uint64_t max_steps) {
         if (!store_.Valid(target)) {
           return fault(FaultKind::kBadBlock);
         }
-        charge(in, false);
-        frames_.push_back(Frame{block_, next_pc});
-        block_ = target;
-        blk = &store_.Get(block_);
-        pc_ = 0;
+        charge(in);
+        frames_.push_back(Frame{block, next_pc});
+        enter(target, 0);
         continue;
       }
       case Opcode::kJmpInd: {
@@ -340,21 +374,17 @@ RunResult Executor::Run(uint64_t max_steps) {
         if (!store_.Valid(target)) {
           return fault(FaultKind::kBadBlock);
         }
-        charge(in, false);
-        block_ = target;
-        blk = &store_.Get(block_);
-        pc_ = 0;
+        charge(in);
+        enter(target, 0);
         continue;
       }
       case Opcode::kRts: {
-        charge(in, false);
+        charge(in);
         if (frames_.empty()) {
-          return Finish(r, RunOutcome::kReturned);
+          return finish(RunOutcome::kReturned);
         }
-        block_ = frames_.back().block;
-        pc_ = frames_.back().pc;
+        enter(frames_.back().block, frames_.back().pc);
         frames_.pop_back();
-        blk = &store_.Get(block_);
         continue;
       }
 
@@ -375,27 +405,31 @@ RunResult Executor::Run(uint64_t max_steps) {
           machine_.set_reg(kD0, mem);
           machine_.SetCc(0, 1);  // "not equal": failure
         }
-        charge(in, false);
+        charge(in);
         break;
       }
 
       case Opcode::kTrap: {
-        charge(in, false);
+        // `in` may dangle once the handler runs (it can replace this block).
+        const int vector = in.imm;
+        charge(in);
+        flush();
         TrapAction action =
-            trap_handler_ ? trap_handler_(in.imm, machine_) : TrapAction::kFault;
+            trap_handler_ ? trap_handler_(vector, machine_) : TrapAction::kFault;
         // The handler may have replaced the current block in the store
-        // (resynthesis); refresh the cached reference.
-        blk = &store_.Get(block_);
+        // (resynthesis) or switched tracing; refresh the cached copies.
+        enter(block, pc);
+        tracing = machine_.tracing();
         switch (action) {
           case TrapAction::kContinue:
             break;
           case TrapAction::kBlock:
-            // Leave pc_ at the trap so Resume() retries it.
-            r.trap_vector = in.imm;
-            return Finish(r, RunOutcome::kBlocked);
+            // Leave the position at the trap so Resume() retries it.
+            r.trap_vector = vector;
+            return finish(RunOutcome::kBlocked);
           case TrapAction::kHalt:
-            pc_ = next_pc;
-            return Finish(r, RunOutcome::kHalted);
+            pc = next_pc;
+            return finish(RunOutcome::kHalted);
           case TrapAction::kFault:
             return fault(FaultKind::kBadOpcode);
         }
@@ -421,27 +455,27 @@ RunResult Executor::Run(uint64_t max_steps) {
             machine_.set_reg(static_cast<uint8_t>(i), machine_.memory().Read32(slot));
           }
         }
-        charge(in, false);
+        charge_imm(in);
         break;
       }
 
       case Opcode::kSetVbr:
         machine_.set_vbr(machine_.reg(in.rs));
-        charge(in, false);
+        charge(in);
         break;
 
       case Opcode::kHalt:
-        charge(in, false);
-        pc_ = next_pc;
-        return Finish(r, RunOutcome::kHalted);
+        charge(in);
+        pc = next_pc;
+        return finish(RunOutcome::kHalted);
 
       case Opcode::kNumOpcodes:
         return fault(FaultKind::kBadOpcode);
     }
 
-    pc_ = next_pc;
+    pc = next_pc;
   }
-  return Finish(r, RunOutcome::kStepLimit);
+  return finish(RunOutcome::kStepLimit);
 }
 
 }  // namespace synthesis

@@ -1,8 +1,12 @@
 // The instruction interpreter. Executes CodeBlocks against a Machine,
 // charging the cost model and maintaining the instruction / memory-reference
 // counters. Supports suspend/resume so that a simulated thread can block in a
-// trap and be continued later, and an interrupt poll so device interrupts can
-// preempt execution at instruction boundaries.
+// trap, or stop at a step limit, and be continued later.
+//
+// Host code can read the Machine's clock only from a trap handler or after
+// Run returns, so Run adds each instruction's charge into locals and flushes
+// them to the Machine just before a trap handler runs and on every exit. The
+// clock is exact wherever it can be observed.
 #ifndef SRC_MACHINE_EXECUTOR_H_
 #define SRC_MACHINE_EXECUTOR_H_
 
@@ -19,7 +23,6 @@ enum class RunOutcome {
   kHalted,       // executed kHalt
   kReturned,     // kRts with an empty call stack: the entry block returned
   kBlocked,      // a trap handler asked to suspend; Resume() retries the trap
-  kInterrupted,  // the interrupt poll fired; Resume() continues
   kFault,        // bus error / bad block / bad opcode / stack underflow
   kStepLimit,    // max_steps exhausted; Resume() continues
 };
@@ -51,8 +54,6 @@ enum class TrapAction {
 };
 
 using TrapHandler = std::function<TrapAction(int vector, Machine& machine)>;
-// Polled before each instruction; returning true suspends with kInterrupted.
-using InterruptPoll = std::function<bool()>;
 
 class Executor {
  public:
@@ -60,7 +61,6 @@ class Executor {
       : machine_(machine), store_(store) {}
 
   void SetTrapHandler(TrapHandler handler) { trap_handler_ = std::move(handler); }
-  void SetInterruptPoll(InterruptPoll poll) { interrupt_poll_ = std::move(poll); }
 
   // One-shot convenience: Start + Run to completion. Re-entrant: when called
   // from a trap handler while a session is active (interrupt-level services
@@ -88,15 +88,13 @@ class Executor {
 
   RunResult Finish(RunResult r, RunOutcome outcome) {
     r.outcome = outcome;
-    active_ = outcome == RunOutcome::kBlocked || outcome == RunOutcome::kInterrupted ||
-              outcome == RunOutcome::kStepLimit;
+    active_ = outcome == RunOutcome::kBlocked || outcome == RunOutcome::kStepLimit;
     return r;
   }
 
   Machine& machine_;
   const CodeStore& store_;
   TrapHandler trap_handler_;
-  InterruptPoll interrupt_poll_;
 
   std::vector<Frame> frames_;
   BlockId block_ = kInvalidBlock;

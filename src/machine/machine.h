@@ -1,13 +1,14 @@
 // The Quamachine: register file, condition codes, simulated memory, virtual
 // clock, and the measurement facilities the paper's hardware provided — an
 // instruction counter, a memory-reference counter, and a microsecond-
-// resolution interval timer (§6.1).
+// resolution interval timer (§6.1) — plus the kernel monitor's execution
+// trace (§6.3), a fixed ring of the last instructions executed.
 #ifndef SRC_MACHINE_MACHINE_H_
 #define SRC_MACHINE_MACHINE_H_
 
 #include <array>
 #include <cstdint>
-#include <deque>
+#include <memory>
 
 #include "src/machine/cost_model.h"
 #include "src/machine/instr.h"
@@ -22,6 +23,46 @@ struct TraceEntry {
   BlockId block = kInvalidBlock;
   uint32_t pc = 0;
   Instr instr;
+};
+
+// The last kCapacity executed instructions, oldest first. Storage is
+// allocated on the first Allocate() (the first time tracing is switched on),
+// so a machine that never traces holds none.
+class TraceRing {
+ public:
+  static constexpr size_t kCapacity = 4096;
+
+  void Allocate() {
+    if (!slots_) {
+      slots_ = std::make_unique<TraceEntry[]>(kCapacity);
+    }
+  }
+  bool allocated() const { return slots_ != nullptr; }
+
+  // Requires Allocate(). Overwrites the oldest entry once full.
+  void Push(BlockId block, uint32_t pc, const Instr& instr) {
+    slots_[head_] = TraceEntry{block, pc, instr};
+    head_ = (head_ + 1) % kCapacity;
+    if (count_ < kCapacity) {
+      count_++;
+    }
+  }
+  void Clear() {
+    head_ = 0;
+    count_ = 0;
+  }
+
+  size_t size() const { return count_; }
+  bool empty() const { return count_ == 0; }
+  // Entry `i` counting from the oldest held.
+  const TraceEntry& operator[](size_t i) const {
+    return slots_[(head_ + kCapacity - count_ + i) % kCapacity];
+  }
+
+ private:
+  std::unique_ptr<TraceEntry[]> slots_;
+  size_t head_ = 0;   // slot the next Push writes
+  size_t count_ = 0;  // entries held, at most kCapacity
 };
 
 class Machine {
@@ -97,20 +138,21 @@ class Machine {
   }
 
   // --- Execution trace ----------------------------------------------------------
-  void set_tracing(bool on) { tracing_ = on; }
-  bool tracing() const { return tracing_; }
-  void Record(BlockId block, uint32_t pc, const Instr& instr) {
-    if (trace_.size() >= kTraceCapacity) {
-      trace_.pop_front();
+  void set_tracing(bool on) {
+    tracing_ = on;
+    if (on) {
+      trace_.Allocate();
     }
-    trace_.push_back(TraceEntry{block, pc, instr});
   }
-  const std::deque<TraceEntry>& trace() const { return trace_; }
-  void ClearTrace() { trace_.clear(); }
+  bool tracing() const { return tracing_; }
+  // Only while tracing() (the ring is allocated by then).
+  void Record(BlockId block, uint32_t pc, const Instr& instr) {
+    trace_.Push(block, pc, instr);
+  }
+  const TraceRing& trace() const { return trace_; }
+  void ClearTrace() { trace_.Clear(); }
 
  private:
-  static constexpr size_t kTraceCapacity = 4096;
-
   Memory memory_;
   CostModel cost_;
   std::array<uint32_t, kNumRegisters> regs_;
@@ -125,7 +167,7 @@ class Machine {
   uint64_t mem_refs_ = 0;
 
   bool tracing_ = false;
-  std::deque<TraceEntry> trace_;
+  TraceRing trace_;
 };
 
 // RAII measurement window over the machine's counters: construct, run code,

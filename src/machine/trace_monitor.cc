@@ -27,7 +27,9 @@ std::string TraceMonitor::FormatTrace(size_t n) const {
 std::vector<TraceMonitor::BlockProfile> TraceMonitor::Profile() const {
   std::map<BlockId, BlockProfile> acc;
   const CostModel& cm = machine_.cost_model();
-  for (const TraceEntry& e : machine_.trace()) {
+  const TraceRing& trace = machine_.trace();
+  for (size_t i = 0; i < trace.size(); i++) {
+    const TraceEntry& e = trace[i];
     BlockProfile& p = acc[e.block];
     if (p.instructions == 0) {
       p.block = e.block;

@@ -83,12 +83,6 @@ inline constexpr ConnId kBadConn = 0;
 inline bool SeqGt(uint32_t a, uint32_t b) {
   return static_cast<int32_t>(a - b) > 0;
 }
-inline bool SeqGeq(uint32_t a, uint32_t b) {
-  return static_cast<int32_t>(a - b) >= 0;
-}
-inline bool SeqLt(uint32_t a, uint32_t b) {
-  return static_cast<int32_t>(a - b) < 0;
-}
 inline bool SeqLeq(uint32_t a, uint32_t b) {
   return static_cast<int32_t>(a - b) <= 0;
 }

@@ -5,7 +5,6 @@
 #ifndef SRC_SYNC_MONITOR_H_
 #define SRC_SYNC_MONITOR_H_
 
-#include <condition_variable>
 #include <cstdint>
 #include <mutex>
 #include <utility>
@@ -22,32 +21,10 @@ class Monitor {
     return std::forward<F>(fn)();
   }
 
-  // Runs `fn` with the monitor held; `fn` receives a wait predicate facility:
-  // call `wait(pred)` to block until pred() holds (condition re-checked on
-  // every notify).
-  template <typename F>
-  auto SynchronizedWait(F&& fn) -> decltype(std::forward<F>(fn)()) {
-    std::unique_lock<std::mutex> lock(mu_);
-    entries_++;
-    auto result = std::forward<F>(fn)();
-    cv_.notify_all();
-    return result;
-  }
-
-  // Blocks the caller until `pred` holds, holding the monitor while checking.
-  template <typename Pred>
-  void Await(Pred&& pred) {
-    std::unique_lock<std::mutex> lock(mu_);
-    cv_.wait(lock, std::forward<Pred>(pred));
-  }
-
-  void NotifyAll() { cv_.notify_all(); }
-
   uint64_t entries() const { return entries_; }
 
  private:
   std::mutex mu_;
-  std::condition_variable cv_;
   uint64_t entries_ = 0;
 };
 
